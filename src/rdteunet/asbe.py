@@ -15,7 +15,11 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .tensor import ConfigError, ParamStore, ShapeError, Tensor, _rec
+from .tensor import ParamStore, ShapeError, Tensor, _rec
+
+GRID = 3  # the sampler's n x n grid
+R_MAX = 7  # largest predicted rectangle extent; odd, so a rectangle has a center pixel
+POOL_K = 3  # average-pool window of the boundary cue
 
 
 def _scatter_rows(acc_flat: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
@@ -26,18 +30,19 @@ def _scatter_rows(acc_flat: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> No
                                        minlength=n_rows).astype(acc_flat.dtype, copy=False)
 
 
-def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor, n_grid: int) -> Tensor:
+def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Adaptive rectangle sampling + shared-kernel mixing.
 
     For each position p, an n x n grid spans the sizes[p] = (height, width)
     rectangle centered at p; samples are bilinear with zeros outside the
-    image, then mixed by the shared (n, n, c, c_out) kernel.
+    image, then mixed by the shared (n, n, c, c_out) kernel, which sets n.
     """
     nb, h, wd, c = x.shape
     if sizes.shape != (nb, h, wd, 2):
         raise ShapeError(f"sizes shape {sizes.shape} != {(nb, h, wd, 2)}")
-    if w.shape[:2] != (n_grid, n_grid) or w.shape[2] != c:
-        raise ShapeError(f"kernel shape {w.shape} incompatible with grid {n_grid} and {c} channels")
+    n_grid = w.shape[0]
+    if n_grid < 2 or w.shape[1] != n_grid or w.shape[2] != c:
+        raise ShapeError(f"kernel shape {w.shape} is not an (n, n, {c}, c_out) grid, n >= 2")
     cout = w.shape[3]
     dt = x.data.dtype
     lin = np.linspace(-1.0, 1.0, n_grid, dtype=dt)
@@ -110,33 +115,28 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor, n_grid: int) -
 
 class ArConv:
     """Rectangle-size predicting conv: a two-layer shape net maps features to
-    per-position (height, width) in [1, r_max]; sampling follows."""
+    per-position (height, width) in [1, R_MAX]; sampling follows on a
+    GRID x GRID grid."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 c: int, n: int = 3, r_max: int = 7):
-        if r_max % 2 == 0:
-            raise ConfigError(f"r_max must be odd, got {r_max}")
-        if n < 2:
-            raise ConfigError(f"sample grid needs n >= 2, got {n}")
-        self.n = n
-        self.r_max = r_max
+    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
         self.shape_conv1 = nn.Conv2d(store, f"{prefix}.shape1", rng, c, c, 3, pad="same",
                                      init_gain=2.0)
         self.shape_conv2 = nn.Conv2d(store, f"{prefix}.shape2", rng, c, 2, 3, pad="same")
         self.w_name = f"{prefix}.w"
         self.b_name = f"{prefix}.b"
-        store.add(self.w_name, nn.kaiming_uniform(rng, (n, n, c, c), n * n * c, gain=1.0))
+        store.add(self.w_name,
+                  nn.kaiming_uniform(rng, (GRID, GRID, c, c), GRID * GRID * c, gain=1.0))
         store.add(self.b_name, T.zeros((c,)))
         self.store = store
 
     def predicted_sizes(self, x: Tensor) -> Tensor:
         logits = self.shape_conv2(T.relu(self.shape_conv1(x)))
-        return T.sigmoid(logits) * float(self.r_max - 1) + 1.0
+        return T.sigmoid(logits) * float(R_MAX - 1) + 1.0
 
     def __call__(self, x: Tensor) -> Tensor:
         sizes = self.predicted_sizes(x)
         return arconv_sample(x, sizes, self.store.value(self.w_name),
-                             self.store.value(self.b_name), self.n)
+                             self.store.value(self.b_name))
 
 
 class AsbeStem:
@@ -145,17 +145,15 @@ class AsbeStem:
     1x1 output conv. Spatial dims are preserved."""
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 cin: int, c_stem: int = 16, c_mid: int = 8, n: int = 3,
-                 r_max: int = 7, pool_k: int = 3):
+                 cin: int, c_stem: int = 16, c_mid: int = 8):
         self.compress = nn.Conv2d(store, f"{prefix}.compress", rng, cin, c_mid, 1, pad="valid")
-        self.arconv = ArConv(store, f"{prefix}.arconv", rng, c_mid, n=n, r_max=r_max)
+        self.arconv = ArConv(store, f"{prefix}.arconv", rng, c_mid)
         self.out = nn.Conv2d(store, f"{prefix}.out", rng, 2 * c_mid, c_stem, 1, pad="valid")
-        self.pool_k = pool_k
 
     def boundary_cue(self, x1: Tensor) -> Tensor:
         """High-frequency residual: features minus their local average.
         Exactly zero on spatially constant inputs (border-corrected pooling)."""
-        return T.sub(x1, nn.avg_pool(x1, k=self.pool_k))
+        return T.sub(x1, nn.avg_pool(x1, k=POOL_K))
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
         n, h, w, c = x.shape

@@ -16,14 +16,15 @@ from . import tensor as T
 from .stairconv import HORIZONTAL, VERTICAL, StairConv
 from .tensor import ConfigError, ParamStore, ShapeError, Tensor
 
+HW_CAP = 4096  # most positions an attention map may span (a 64x64 map)
+
 
 class HvdaBranch:
     """StairConv detail extractor producing one fused c-channel map."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 c: int, k: int = 3):
-        self.stair_h = StairConv(store, f"{prefix}.stair_h", rng, HORIZONTAL, c, c, k=k)
-        self.stair_v = StairConv(store, f"{prefix}.stair_v", rng, VERTICAL, c, c, k=k)
+    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
+        self.stair_h = StairConv(store, f"{prefix}.stair_h", rng, HORIZONTAL, c, c)
+        self.stair_v = StairConv(store, f"{prefix}.stair_v", rng, VERTICAL, c, c)
         self.reduce = nn.Conv2d(store, f"{prefix}.reduce", rng, 2 * c, c, 1, pad="valid",
                                 init_gain=2.0)
         self.bn_reduce = nn.BatchNorm(store, f"{prefix}.bn_reduce", c)
@@ -53,32 +54,33 @@ def attention_map(q: Tensor, k: Tensor) -> Tensor:
 def attention_from_qkv(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Weight the (c, hw) value matrix by the attention map: out[:, i] = V @ B[i, :]."""
     b = attention_map(q, k)
-    return T.matmul(v, T.transpose2d(b))
+    return T.matmul(v, T.swap_last2(b))
 
 
 class HvdaAttention:
     """Spatial self-attention with detail-branch Q/K/V (or plain GSA-style
-    projections when `detail=False`, the ablation substitute)."""
+    projections when `detail=False`, the ablation substitute). The output
+    carries no residual; the enclosing block adds it."""
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 c: int, detail: bool = True, k: int = 3, hw_cap: int = 4096):
+                 c: int, detail: bool = True):
         self.c = c
-        self.hw_cap = hw_cap
         self.detail = detail
         if detail:
-            self.branch_q = HvdaBranch(store, f"{prefix}.branch_q", rng, c, k)
-            self.branch_k = HvdaBranch(store, f"{prefix}.branch_k", rng, c, k)
-            self.branch_v = HvdaBranch(store, f"{prefix}.branch_v", rng, c, k)
+            self.branch_q = HvdaBranch(store, f"{prefix}.branch_q", rng, c)
+            self.branch_k = HvdaBranch(store, f"{prefix}.branch_k", rng, c)
+            self.branch_v = HvdaBranch(store, f"{prefix}.branch_v", rng, c)
         self.proj_q = nn.Conv2d(store, f"{prefix}.proj_q", rng, c, 1, 1, pad="valid")
         self.proj_k = nn.Conv2d(store, f"{prefix}.proj_k", rng, c, 1, 1, pad="valid")
         self.proj_v = nn.Conv2d(store, f"{prefix}.proj_v", rng, c, c, 1, pad="valid")
         self.proj_out = nn.Conv2d(store, f"{prefix}.proj_out", rng, c, c, 1, pad="valid")
 
-    def _qkv_maps(self, x: Tensor, training: bool):
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         n, h, w, c = x.shape
-        if h * w > self.hw_cap:
+        hw = h * w
+        if hw > HW_CAP:
             raise ConfigError(
-                f"attention map would be {h * w}x{h * w} (cap {self.hw_cap}); "
+                f"attention map would be {hw}x{hw} (cap {HW_CAP}); "
                 "apply this block only at the deep, downsampled stages")
         if self.detail:
             fq = self.branch_q(x, training)
@@ -86,23 +88,7 @@ class HvdaAttention:
             fv = self.branch_v(x, training)
         else:
             fq = fk = fv = x
-        return self.proj_q(fq), self.proj_k(fk), self.proj_v(fv)
-
-    def attention_maps(self, x: Tensor, training: bool) -> list[Tensor]:
-        """Per-sample hw x hw maps, as used by the forward pass."""
-        n, h, w, _ = x.shape
-        qm, km, _ = self._qkv_maps(x, training)
-        maps = []
-        for i in range(n):
-            q = T.reshape(T.take_batch(qm, i), (h * w,))
-            k = T.reshape(T.take_batch(km, i), (h * w,))
-            maps.append(attention_map(q, k))
-        return maps
-
-    def __call__(self, x: Tensor, training: bool, residual: bool = True) -> Tensor:
-        n, h, w, c = x.shape
-        hw = h * w
-        qm, km, vm = self._qkv_maps(x, training)
+        qm, km, vm = self.proj_q(fq), self.proj_k(fk), self.proj_v(fv)
         # batched form of attention_from_qkv, one map per sample
         q = T.reshape(qm, (n, hw))
         k = T.reshape(km, (n, hw))
@@ -110,27 +96,24 @@ class HvdaAttention:
         v = T.swap_last2(T.reshape(vm, (n, hw, c)))  # (n, c, hw)
         o = T.apply_attention(v, b)
         att = T.reshape(T.swap_last2(o), (n, h, w, c))
-        out = self.proj_out(att)
-        return T.add(x, out) if residual else out
+        return self.proj_out(att)
 
 
 class DetailsTransformerBlock:
     """Two chained pre-norm submodules: x += attn(LN(x)); x += MLP(LN(x))."""
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 c: int, detail: bool = True, k: int = 3, hidden_mult: int = 4,
-                 hw_cap: int = 4096):
+                 c: int, detail: bool = True):
         self.subs = []
         for s in (1, 2):
             ln1 = nn.LayerNorm(store, f"{prefix}.sub{s}.ln1", c)
-            attn = HvdaAttention(store, f"{prefix}.sub{s}.attn", rng, c,
-                                 detail=detail, k=k, hw_cap=hw_cap)
+            attn = HvdaAttention(store, f"{prefix}.sub{s}.attn", rng, c, detail=detail)
             ln2 = nn.LayerNorm(store, f"{prefix}.sub{s}.ln2", c)
-            mlp = nn.Mlp(store, f"{prefix}.sub{s}.mlp", rng, c, hidden_mult)
+            mlp = nn.Mlp(store, f"{prefix}.sub{s}.mlp", rng, c)
             self.subs.append((ln1, attn, ln2, mlp))
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         for ln1, attn, ln2, mlp in self.subs:
-            x = T.add(x, attn(ln1(x), training, residual=False))
+            x = T.add(x, attn(ln1(x), training))
             x = T.add(x, mlp(ln2(x)))
         return x

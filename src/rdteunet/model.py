@@ -21,14 +21,13 @@ from . import tensor as T
 from .asbe import AsbeStem
 from .eulerff import ConcatFusion, EulerFusion
 from .hvda import DetailsTransformerBlock
-from .stairconv import StairConv  # noqa: F401  (re-exported building block)
 from .tensor import (
     ConfigError,
     FormatError,
     ParamStore,
     ShapeError,
     Tensor,
-    TruncationError,
+    _read_exact,
     read_rdtf_record,
     write_rdtf_record,
 )
@@ -182,10 +181,6 @@ class RdteUnet:
         return self.store.n_scalars()
 
 
-def build(config: ModelConfig) -> RdteUnet:
-    return RdteUnet(config)
-
-
 # ---------------------------------------------------------------------------
 # loss
 
@@ -300,13 +295,6 @@ class Adam:
 # checkpoint container
 
 CKPT_MAGIC = b"RDTC"
-
-
-def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise TruncationError(f"checkpoint ended early: wanted {n} bytes, got {len(buf)}")
-    return buf
 
 
 def write_checkpoint_raw(path, entries: dict[str, Tensor], config_json: dict) -> None:

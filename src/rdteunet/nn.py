@@ -187,10 +187,9 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 # pooling
 
-def avg_pool(x: Tensor, k: int = 3, stride: int = 1) -> Tensor:
-    """Same-size average pooling; border windows divide by the true pixel count."""
-    if stride != 1:
-        raise ConfigError("avg_pool supports stride 1 only")
+def avg_pool(x: Tensor, k: int = 3) -> Tensor:
+    """Stride-1 same-size average pooling; border windows divide by the true
+    pixel count."""
     if k % 2 == 0:
         raise ConfigError(f"same-padding average pooling needs odd k, got {k}")
     if x.data.ndim != 4:
@@ -378,45 +377,44 @@ class ConvTranspose2x2:
 
 
 class BatchNorm:
-    def __init__(self, store: ParamStore, prefix: str, c: int,
-                 eps: float = 1e-5, momentum: float = 0.1):
+    """Batch norm at NormState's default eps and momentum."""
+
+    def __init__(self, store: ParamStore, prefix: str, c: int):
         self.g_name = f"{prefix}.gamma"
         self.b_name = f"{prefix}.beta"
         store.add(self.g_name, tensor_ones(c))
         store.add(self.b_name, T.zeros((c,)))
         self.rm = store.add_buffer(f"{prefix}.running_mean", np.zeros(c))
         self.rv = store.add_buffer(f"{prefix}.running_var", np.ones(c))
-        self.eps = eps
-        self.momentum = momentum
         self.store = store
 
     def state(self) -> NormState:
         return NormState(self.store.value(self.g_name), self.store.value(self.b_name),
-                         self.rm, self.rv, self.eps, self.momentum)
+                         self.rm, self.rv)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return batch_norm(x, self.state(), training)
 
 
 class LayerNorm:
-    def __init__(self, store: ParamStore, prefix: str, c: int, eps: float = 1e-5):
+    """Layer norm at layer_norm's default eps."""
+
+    def __init__(self, store: ParamStore, prefix: str, c: int):
         self.g_name = f"{prefix}.gamma"
         self.b_name = f"{prefix}.beta"
         store.add(self.g_name, tensor_ones(c))
         store.add(self.b_name, T.zeros((c,)))
-        self.eps = eps
         self.store = store
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.store.value(self.g_name), self.store.value(self.b_name), self.eps)
+        return layer_norm(x, self.store.value(self.g_name), self.store.value(self.b_name))
 
 
 class Mlp:
-    """Channel MLP with hidden width = hidden_mult * c."""
+    """Channel MLP with hidden width 4 * c."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 c: int, hidden_mult: int = 4):
-        hidden = hidden_mult * c
+    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
+        hidden = 4 * c
         self.w1, self.b1 = f"{prefix}.w1", f"{prefix}.b1"
         self.w2, self.b2 = f"{prefix}.w2", f"{prefix}.b2"
         store.add(self.w1, kaiming_uniform(rng, (c, hidden), c, gain=1.0))

@@ -52,6 +52,8 @@ def _symmetric_pad(x: Tensor, total: int) -> Tensor:
 
 class StairConv:
     """Four stair-padded conv branches (two scales x two sides) plus fusion.
+    Each branch has ceil(cout / 4) channels; the fusion conv maps their
+    concat to cout.
 
     `padding="symmetric"` keeps the same weights and conv arithmetic but
     centers every branch's padding; it exists as the baseline against which
@@ -59,8 +61,7 @@ class StairConv:
     """
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 axis: str, cin: int, cout: int, k: int = 3,
-                 c_branch: int | None = None, padding: str = "stair"):
+                 axis: str, cin: int, cout: int, k: int = 3, padding: str = "stair"):
         if axis not in _SIDES:
             raise ConfigError(f"axis must be horizontal or vertical, got {axis!r}")
         if k < 1:
@@ -70,8 +71,7 @@ class StairConv:
         self.cin = cin
         self.cout = cout
         self.padding = padding
-        cb = c_branch if c_branch is not None else math.ceil(cout / 4)
-        self.c_branch = cb
+        cb = self.c_branch = math.ceil(cout / 4)
         self.branches = []
         for level in (1, 2):
             for side in _SIDES[axis]:

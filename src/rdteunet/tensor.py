@@ -8,6 +8,8 @@ float32 by contract; a float64 switch exists to tighten gradient checks.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -174,29 +176,6 @@ def zeros(shape) -> Tensor:
     return tensor_new(shape, 0.0)
 
 
-def flat_index(shape: Sequence[int], coords: Sequence[int]) -> int:
-    """Row-major flat index of a coordinate tuple."""
-    if len(shape) != len(coords):
-        raise ShapeError("coordinate rank mismatch")
-    idx = 0
-    for s, c in zip(shape, coords):
-        if not 0 <= c < s:
-            raise ShapeError(f"coordinate {coords} out of bounds for shape {tuple(shape)}")
-        idx = idx * s + c
-    return idx
-
-
-def unflat_index(shape: Sequence[int], idx: int) -> tuple[int, ...]:
-    """Inverse of flat_index."""
-    coords = []
-    for s in reversed(list(shape)):
-        coords.append(idx % s)
-        idx //= s
-    if idx:
-        raise ShapeError("flat index out of bounds")
-    return tuple(reversed(coords))
-
-
 # ---------------------------------------------------------------------------
 # Tape
 
@@ -264,11 +243,6 @@ def _rec(out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     return out
 
 
-def active_tape() -> Tape | None:
-    ts = _tapes()
-    return ts[-1] if ts else None
-
-
 # ---------------------------------------------------------------------------
 # ParamStore
 
@@ -332,10 +306,6 @@ class ParamStore:
 
     def items(self):
         return self._params.items()
-
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0.0
 
     def n_scalars(self) -> int:
         return sum(p.value.size for p in self._params.values())
@@ -409,7 +379,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(name: str, fwd, dfa, dfb, a: Tensor, b: Tensor) -> Tensor:
+def _binary(fwd, dfa, dfb, a: Tensor, b: Tensor) -> Tensor:
     _check_binary(a, b)
     out = Tensor(fwd(a.data, b.data))
 
@@ -421,19 +391,19 @@ def _binary(name: str, fwd, dfa, dfb, a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("add", np.add, lambda g, x, y: g, lambda g, x, y: g, a, b)
+    return _binary(np.add, lambda g, x, y: g, lambda g, x, y: g, a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("sub", np.subtract, lambda g, x, y: g, lambda g, x, y: -g, a, b)
+    return _binary(np.subtract, lambda g, x, y: g, lambda g, x, y: -g, a, b)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("mul", np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, a, b)
+    return _binary(np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, a, b)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("div", np.divide,
+    return _binary(np.divide,
                    lambda g, x, y: g / y,
                    lambda g, x, y: -g * x / (y * y), a, b)
 
@@ -482,19 +452,6 @@ def exp(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     return _unary("sigmoid", a)
-
-
-def elementwise(op: str, a: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dispatch by op name; binary ops need `b`, unary ops reject it."""
-    if op in ("add", "sub", "mul", "div"):
-        if b is None:
-            raise ConfigError(f"{op} needs two operands")
-        return {"add": add, "sub": sub, "mul": mul, "div": div}[op](a, b)
-    if op in _UNARY:
-        if b is not None:
-            raise ConfigError(f"{op} is unary")
-        return _unary(op, a)
-    raise ConfigError(f"unknown elementwise op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +562,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _rec(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose2d(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("transpose2d expects a 2-D tensor")
-    out = Tensor(np.ascontiguousarray(a.data.T))
-    return _rec(out, (a,), lambda g: (g.T,))
-
-
 def swap_last2(a: Tensor) -> Tensor:
     """Transpose the last two axes (any rank >= 2)."""
     if a.data.ndim < 2:
@@ -646,20 +596,6 @@ def take_channels(a: Tensor, idx: Sequence[int]) -> Tensor:
     return _rec(out, (a,), bw)
 
 
-def take_batch(a: Tensor, i: int) -> Tensor:
-    """Select one index along axis 0, dropping that axis."""
-    if not 0 <= i < a.shape[0]:
-        raise ShapeError(f"batch index {i} out of range for shape {a.shape}")
-    out = Tensor(a.data[i])
-
-    def bw(g):
-        acc = np.zeros_like(a.data)
-        acc[i] = g
-        return (acc,)
-
-    return _rec(out, (a,), bw)
-
-
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient is zero where clamping engaged."""
     out = Tensor(np.clip(a.data, lo, hi))
@@ -669,11 +605,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
         return (g * inside,)
 
     return _rec(out, (a,), bw)
-
-
-def flip(a: Tensor, axis: int) -> Tensor:
-    out = Tensor(np.ascontiguousarray(np.flip(a.data, axis=axis)))
-    return _rec(out, (a,), lambda g: (np.ascontiguousarray(np.flip(g, axis=axis)),))
 
 
 def pad2d(a: Tensor, pads: tuple[int, int, int, int]) -> Tensor:
@@ -711,13 +642,13 @@ class GradcheckReport:
 
 
 def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3,
-              tol: float = 1e-2, exclude: np.ndarray | None = None) -> GradcheckReport:
+              tol: float = 1e-2) -> GradcheckReport:
     """Compare analytic gradients of scalar-valued f against central differences.
 
     Per coordinate: n_i = (f(x+eps*e_i) - f(x-eps*e_i)) / (2*eps), and
     rel_err = |a-n| / max(|a|, |n|, 1e-6). Passes iff max rel err <= tol.
-    `exclude` masks coordinates sitting on kinks (e.g. exact ReLU zeros),
-    which central differences cannot certify; callers supply it.
+    Every coordinate is checked, so keep inputs away from kinks (e.g. exact
+    ReLU zeros), which central differences cannot certify.
     """
     if default_dtype() == np.float32 and not (1e-4 <= eps <= 1e-2):
         raise ConfigError(f"eps={eps} outside [1e-4, 1e-2] for 32-bit floats")
@@ -739,12 +670,8 @@ def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3,
 
     flat = x.data.reshape(-1)
     a_flat = analytic.reshape(-1)
-    excl = None if exclude is None else np.asarray(exclude, dtype=bool).reshape(-1)
     max_rel = 0.0
-    n_checked = 0
     for i in range(flat.size):
-        if excl is not None and excl[i]:
-            continue
         bumped = flat.copy()
         bumped[i] = flat[i] + eps
         hi = float(bumped[i])
@@ -758,8 +685,7 @@ def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3,
         a = float(a_flat[i])
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
         max_rel = max(max_rel, rel)
-        n_checked += 1
-    return GradcheckReport(max_rel_err=max_rel, passed=max_rel <= tol, n_checked=n_checked)
+    return GradcheckReport(max_rel_err=max_rel, passed=max_rel <= tol, n_checked=flat.size)
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +699,14 @@ def _read_exact(f, n: int) -> bytes:
     if len(buf) != n:
         raise TruncationError(f"expected {n} bytes, got {len(buf)}")
     return buf
+
+
+def _bytes_left(f) -> int:
+    """Bytes from the position of the seekable stream `f` to its end."""
+    pos = f.tell()
+    end = f.seek(0, io.SEEK_END)
+    f.seek(pos)
+    return end - pos
 
 
 def write_rdtf_record(f, t: Tensor) -> None:
@@ -800,8 +734,13 @@ def read_rdtf_record(f) -> Tensor:
     shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(rank))
     if any(s < 1 for s in shape):
         raise FormatError(f"non-positive extent in {shape}")
-    n = int(np.prod(shape)) if shape else 1
-    raw = _read_exact(f, 4 * n)
+    # Python ints: a product of u32 extents cannot wrap, and a declared
+    # payload longer than the stream fails before anything is allocated
+    nbytes = 4 * math.prod(shape)
+    left = _bytes_left(f)
+    if nbytes > left:
+        raise TruncationError(f"shape {shape} needs {nbytes} bytes, {left} left")
+    raw = _read_exact(f, nbytes)
     arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
     return Tensor(arr.astype(default_dtype()))
 

@@ -3,7 +3,7 @@ import pytest
 
 import rdteunet.eulerff as ef
 import rdteunet.tensor as T
-from rdteunet.tensor import ParamStore, ShapeError, Tensor, gradcheck
+from rdteunet.tensor import ParamStore, ShapeError, Tensor
 
 
 def rx(shape, seed=0, scale=1.0):
@@ -63,19 +63,6 @@ def test_expand_pure_real_when_phase_zeroed():
     assert np.all(f[..., 2:] == 0)
 
 
-def test_expand_gradcheck():
-    with T.using_dtype(np.float64):
-        store = ParamStore()
-        stream = ef.EulerStream(store, "st", np.random.default_rng(11), 2)
-        x = rx((1, 3, 3, 2), 12)
-        probe = rx((1, 3, 3, 4), 13)
-
-        def f(v):
-            return T.tsum(T.mul(stream.expand(v, "v"), probe))
-
-        assert gradcheck(f, x, eps=1e-5, tol=1e-2).passed
-
-
 # ---------------------------------------------------------------------------
 # stream
 
@@ -94,19 +81,6 @@ def test_stream_vanishes_with_pinned_amp_bias():
     x = Tensor(np.zeros((1, 4, 4, 2), dtype=np.float32))
     y = stream(x).data
     assert np.all(np.abs(y) <= 1e-6)
-
-
-def test_stream_gradcheck():
-    with T.using_dtype(np.float64):
-        store = ParamStore()
-        stream = ef.EulerStream(store, "st", np.random.default_rng(17), 2)
-        x = rx((1, 4, 4, 2), 18)
-        probe = rx((1, 4, 4, 2), 19)
-
-        def f(v):
-            return T.tsum(T.mul(stream(v), probe))
-
-        assert gradcheck(f, x, eps=1e-5, tol=1e-2).passed
 
 
 def test_grouped_conv_sees_own_pair_only():
@@ -170,16 +144,3 @@ def test_concat_fusion_ablation():
     assert cf(xs, xd).shape == xd.shape
     with pytest.raises(ShapeError):
         cf(xs, rx((1, 4, 4, 2), 40))
-
-
-def test_fusion_gradcheck():
-    with T.using_dtype(np.float64):
-        store = ParamStore()
-        fuse = ef.EulerFusion(store, "ff", np.random.default_rng(41), 2)
-        xd = rx((1, 3, 3, 2), 42)
-        probe = rx((1, 3, 3, 2), 43)
-
-        def f(v):
-            return T.tsum(T.mul(fuse(v, xd), probe))
-
-        assert gradcheck(f, rx((1, 3, 3, 2), 44), eps=1e-5, tol=1e-2).passed
