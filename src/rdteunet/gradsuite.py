@@ -77,24 +77,29 @@ def check_softmax(tol):
 
 
 def check_conv2d(tol):
-    x = _rx((1, 4, 5, 2), 6)
-    w = _rx((3, 2, 2, 3), 7)
-    b = _rx((3,), 8)
-    kw = dict(stride=2, pad=(1, 0, 2, 1))
-    probe = _rx((1, 2, 4, 3), 9)
-    r1 = gradcheck(lambda v: _probe_loss(nn.conv2d(v, w, b, **kw), probe), x, EPS, tol)
-    r2 = gradcheck(lambda v: _probe_loss(nn.conv2d(x, v, b, **kw), probe), w, EPS, tol)
-    r3 = gradcheck(lambda v: _probe_loss(nn.conv2d(x, w, v, **kw), probe), b, EPS, tol)
-    return [r1, r2, r3]
+    reports = []
+    # the second configuration pads the left side wider than the kernel: kernel
+    # column 0 sees no real pixel, and output columns 0-2 see only padding
+    for seed, xs, ws, kw, ps in ((6, (1, 4, 5, 2), (3, 2, 2, 3), dict(stride=2, pad=(1, 0, 2, 1)),
+                                  (1, 2, 4, 3)),
+                                 (26, (1, 3, 2, 2), (2, 3, 2, 3), dict(pad=(0, 0, 5, 0)),
+                                  (1, 2, 5, 3))):
+        x, w, b, probe = _rx(xs, seed), _rx(ws, seed + 1), _rx((3,), seed + 2), _rx(ps, seed + 3)
+        reports += [
+            gradcheck(lambda v: _probe_loss(nn.conv2d(v, w, b, **kw), probe), x, EPS, tol),
+            gradcheck(lambda v: _probe_loss(nn.conv2d(x, v, b, **kw), probe), w, EPS, tol),
+            gradcheck(lambda v: _probe_loss(nn.conv2d(x, w, v, **kw), probe), b, EPS, tol)]
+    return reports
 
 
 def check_conv2d_groups(tol):
     x = _rx((1, 3, 3, 4), 10)
     w = _rx((1, 3, 2, 2), 11)
     probe = _rx((1, 3, 3, 2), 12)
-    r = gradcheck(lambda v: _probe_loss(
-        nn.conv2d(x, v, pad=(0, 0, 1, 1), groups=2), probe), w, EPS, tol)
-    return [r]
+    kw = dict(pad=(0, 0, 1, 1), groups=2)
+    r1 = gradcheck(lambda v: _probe_loss(nn.conv2d(v, w, **kw), probe), x, EPS, tol)
+    r2 = gradcheck(lambda v: _probe_loss(nn.conv2d(x, v, **kw), probe), w, EPS, tol)
+    return [r1, r2]
 
 
 def check_conv2d_transpose(tol):

@@ -246,10 +246,18 @@ def segmentation_loss(logits: Tensor, labels) -> Tensor:
 # optimizer
 
 def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm.
+
+    Raises FloatingPointError, naming the first parameter whose gradient holds
+    a NaN or inf, before any gradient is scaled.
+    """
     total = 0.0
-    for _, p in store.items():
-        total += float((p.grad.astype(np.float64) ** 2).sum())
+    for name, p in store.items():
+        sq = float((p.grad.astype(np.float64) ** 2).sum())
+        # sq also overflows for finite float64 grads above ~1e154
+        if not np.isfinite(sq) and not np.isfinite(p.grad).all():
+            raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
+        total += sq
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm

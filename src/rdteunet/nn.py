@@ -3,7 +3,8 @@ asymmetric padding / stride / groups, 2x2 stride-2 transposed convolution,
 batch/layer norm, same-size average pooling, MLP and residual blocks.
 
 Feature maps are NHWC; conv weights are (kh, kw, cin/groups, cout);
-convolution is cross-correlation (no kernel flip).
+convolution is cross-correlation (no kernel flip), summed over kernel taps
+with implicit padding, so it costs only the products that touch real pixels.
 """
 
 from __future__ import annotations
@@ -51,9 +52,52 @@ def conv_out_extent(size: int, pad0: int, pad1: int, k: int, stride: int) -> int
 # ---------------------------------------------------------------------------
 # conv2d
 
+def _tap_spans(out: int, size: int, pad: int, k: int, stride: int) -> list:
+    """Per kernel offset t on one axis: the (output, input) slices of the outputs
+    o whose input o*stride + t - pad lies inside the image, or None if none do."""
+    spans = []
+    for t in range(k):
+        lo = max(0, -((t - pad) // stride))
+        hi = min(out, (size - 1 + pad - t) // stride + 1)
+        first = lo * stride + t - pad
+        spans.append((slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride))
+                     if lo < hi else None)
+    return spans
+
+
+def _tap_madd(out: np.ndarray, a: np.ndarray, wt: np.ndarray, groups: int) -> None:
+    """out += (..., cin) inputs times one tap's (cin/groups, cout) weights: one GEMM
+    for groups == 1, else a multiply-add per input/output channel pair of a group."""
+    cig, cout = wt.shape
+    if groups == 1:
+        out += (a.reshape(-1, cig) @ wt).reshape(out.shape)
+        return
+    og = cout // groups
+    for c in range(cig):
+        for o in range(og):
+            out[..., o::og] += a[..., c::cig] * wt[c, o::og]
+
+
+def _tap_weight_grad(a: np.ndarray, g: np.ndarray, groups: int) -> np.ndarray:
+    """One tap's (cin/groups, cout) weight gradient from its inputs and output grads."""
+    if groups == 1:
+        return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    cig, og = a.shape[-1] // groups, g.shape[-1] // groups
+    dw = np.empty((cig, g.shape[-1]), dtype=a.dtype)
+    for c in range(cig):
+        for o in range(og):
+            dw[c, o::og] = (a[..., c::cig] * g[..., o::og]).sum(axis=(0, 1, 2))
+    return dw
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
            pad: tuple[int, int, int, int] = (0, 0, 0, 0), groups: int = 1) -> Tensor:
-    """Cross-correlation with explicit zero padding (top, bottom, left, right)."""
+    """Cross-correlation with implicit zero padding (top, bottom, left, right).
+
+    A sum over kernel taps: tap (i, j) multiplies the rectangle of real input
+    pixels it sees by w[i, j] into the matching output rectangle, so products
+    with padding are skipped and outputs that see only padding get the bias.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d expects NHWC input, got shape {x.shape}")
     if w.data.ndim != 4:
@@ -74,67 +118,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
             f"conv output extent {oh}x{ow} < 1 for input {h}x{wd}, kernel {kh}x{kw}, "
             f"pad {pad}, stride {stride}")
 
-    if kh == 1 and kw == 1 and stride == 1 and pad == (0, 0, 0, 0) and groups == 1:
-        return _conv1x1(x, w, b)
-
-    if pad == (0, 0, 0, 0):
-        xp = x.data
-    else:
-        xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    # win: (n, oh, ow, cin, kh, kw) -> contiguous cols (n*oh*ow, kh*kw*cin);
-    # kept for backward, where it feeds the dW GEMM
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        n * oh * ow, kh * kw * cin)
-
-    if groups == 1:
-        y = (cols @ w.data.reshape(kh * kw * cin, cout)).reshape(n, oh, ow, cout)
-    else:
-        win_g = cols.reshape(n, oh, ow, kh, kw, groups, cig)
-        w_g = w.data.reshape(kh, kw, cig, groups, cout // groups)
-        y = np.einsum("nhwijgc,ijcgo->nhwgo", win_g, w_g, optimize=True)
-        y = y.reshape(n, oh, ow, cout)
-    if b is not None:
-        y = y + b.data
+    rows, cols = _tap_spans(oh, h, pt, kh, stride), _tap_spans(ow, wd, pl, kw, stride)
+    taps = [(i, j, r, c) for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
+    y = np.full((n, oh, ow, cout), 0 if b is None else b.data, dtype=x.data.dtype)
+    for i, j, (ro, ri), (co, ci) in taps:
+        _tap_madd(y[:, ro, co], x.data[:, ri, ci], w.data[i, j], groups)
     out = Tensor(y)
 
     def bw(g):
-        if groups == 1:
-            g2 = g.reshape(n * oh * ow, cout)
-            dw = (cols.T @ g2).reshape(w.shape)
-            dcols = (g2 @ w.data.reshape(kh * kw * cin, cout).T).reshape(
-                n, oh, ow, kh, kw, cin)
-        else:
-            g_g = g.reshape(n, oh, ow, groups, cout // groups)
-            win_g2 = cols.reshape(n, oh, ow, kh, kw, groups, cig)
-            dw = np.einsum("nhwijgc,nhwgo->ijcgo", win_g2, g_g, optimize=True)
-            dw = dw.reshape(kh, kw, cig, cout)
-            dcols = np.einsum("nhwgo,ijcgo->nhwijgc", g_g, w.data.reshape(kh, kw, cig, groups, -1),
-                              optimize=True).reshape(n, oh, ow, kh, kw, cin)
-        dxp = np.zeros((n, h + pt + pb, wd + pl + pr, cin), dtype=x.data.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i:i + oh * stride:stride, j:j + ow * stride:stride, :] += dcols[:, :, :, i, j, :]
-        dx = np.ascontiguousarray(dxp[:, pt:pt + h, pl:pl + wd, :])
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 1, 2))
-
-    inputs = (x, w) if b is None else (x, w, b)
-    return _rec(out, inputs, bw)
-
-
-def _conv1x1(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    cin, cout = w.shape[2], w.shape[3]
-    k = w.data.reshape(cin, cout)
-    y = np.tensordot(x.data, k, axes=([3], [0]))
-    if b is not None:
-        y = y + b.data
-    out = Tensor(y)
-
-    def bw(g):
-        dx = np.tensordot(g, k, axes=([3], [1]))
-        dw = np.tensordot(x.data, g, axes=([0, 1, 2], [0, 1, 2])).reshape(w.shape)
+        dx = np.zeros(x.shape, dtype=x.data.dtype)
+        dw = np.zeros(w.shape, dtype=w.data.dtype)
+        # per tap, the (cout/groups, cin) weights that map output grads to input grads
+        w_back = w.data.reshape(kh, kw, cig, groups, -1).transpose(0, 1, 4, 3, 2)
+        for i, j, (ro, ri), (co, ci) in taps:
+            _tap_madd(dx[:, ri, ci], g[:, ro, co], w_back[i, j].reshape(-1, cin), groups)
+            dw[i, j] = _tap_weight_grad(x.data[:, ri, ci], g[:, ro, co], groups)
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 1, 2))

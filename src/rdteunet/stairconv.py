@@ -2,8 +2,10 @@
 scales, concatenated and fused by a 2x2 valid convolution.
 
 A horizontal instance shifts its padding left/right, a vertical one up/down.
-Every branch output is (h+1, w+1); the 2x2 fusion restores (h, w), so the
-operator is shape-preserving for any input with h, w >= 2.
+The padding is never built: each branch hands its extents to nn.conv2d,
+which skips the taps that would multiply padding zeros. Every branch output
+is (h+1, w+1); the 2x2 fusion restores (h, w), so the operator is
+shape-preserving for any input with h, w >= 2.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ _SIDES = {
 }
 
 
-def stair_pad(x: Tensor, axis: str, level: int, side: str, k: int) -> Tensor:
-    """One-sided zero padding of i*k along the shift axis, split floor/ceil
-    along the orthogonal axis. Output is (h + i*k, w + i*k)."""
+def stair_pads(axis: str, level: int, side: str, k: int) -> tuple[int, int, int, int]:
+    """(top, bottom, left, right) zero padding of one stair branch: level*k on
+    one side of the shift axis, split floor/ceil along the orthogonal axis.
+    The padded input is (h + level*k, w + level*k)."""
     if axis not in _SIDES:
         raise ConfigError(f"axis must be horizontal or vertical, got {axis!r}")
     if level not in (1, 2):
@@ -37,17 +40,8 @@ def stair_pad(x: Tensor, axis: str, level: int, side: str, k: int) -> Tensor:
     total = level * k
     before, after = total // 2, total - total // 2
     if axis == HORIZONTAL:
-        pl, pr = (0, total) if side == "right" else (total, 0)
-        pt, pb = before, after
-    else:
-        pt, pb = (total, 0) if side == "up" else (0, total)
-        pl, pr = before, after
-    return T.pad2d(x, (pt, pb, pl, pr))
-
-
-def _symmetric_pad(x: Tensor, total: int) -> Tensor:
-    before, after = total // 2, total - total // 2
-    return T.pad2d(x, (before, after, before, after))
+        return (before, after) + ((0, total) if side == "right" else (total, 0))
+    return ((total, 0) if side == "up" else (0, total)) + (before, after)
 
 
 class StairConv:
@@ -85,14 +79,19 @@ class StairConv:
         self.fuse_bn = nn.BatchNorm(store, f"{prefix}.fuse.bn", cout)
 
     def branch_features(self, x: Tensor, training: bool) -> Tensor:
-        """Pre-fusion concat of the four SiLU(BN(Conv(pad(x)))) branches."""
+        """Pre-fusion concat of the four SiLU(BN(Conv(x))) branches, each conv
+        zero-padded by its branch's extents."""
         feats = []
         for level, side, conv, bn in self.branches:
+            # read per call: the symmetric baseline is selected by setting .padding
             if self.padding == "stair":
-                padded = stair_pad(x, self.axis, level, side, self.k)
+                pad = stair_pads(self.axis, level, side, self.k)
             else:
-                padded = _symmetric_pad(x, level * self.k)
-            feats.append(T.silu(bn(conv(padded), training)))
+                total = level * self.k
+                pad = (total // 2, total - total // 2) * 2
+            y = nn.conv2d(x, conv.store.value(conv.w_name), conv.store.value(conv.b_name),
+                          pad=pad)
+            feats.append(T.silu(bn(y, training)))
         return T.concat(feats, axis=-1)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:

@@ -607,22 +607,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _rec(out, (a,), bw)
 
 
-def pad2d(a: Tensor, pads: tuple[int, int, int, int]) -> Tensor:
-    """Zero-pad the spatial dims of an NHWC tensor: (top, bottom, left, right)."""
-    pt, pb, pl, pr = pads
-    if min(pads) < 0:
-        raise ShapeError(f"negative padding {pads}")
-    if a.data.ndim != 4:
-        raise ShapeError("pad2d expects an NHWC tensor")
-    out = Tensor(np.pad(a.data, ((0, 0), (pt, pb), (pl, pr), (0, 0))))
-    n, h, w, c = a.shape
-
-    def bw(g):
-        return (np.ascontiguousarray(g[:, pt:pt + h, pl:pl + w, :]),)
-
-    return _rec(out, (a,), bw)
-
-
 def is_finite(a: Tensor) -> bool:
     """Validity check callers use to flag propagated NaN/Inf."""
     return bool(np.isfinite(a.data).all())

@@ -160,6 +160,23 @@ def test_adam_descends_quadratic():
     assert np.allclose(store.value("w").data, target, atol=1e-2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_clip_grad_norm_rejects_non_finite_grad(bad):
+    store = T.ParamStore()
+    for name in ("a", "b", "c"):
+        store.add(name, Tensor(np.full(3, 2.0, dtype=np.float32)))
+        store[name].grad[...] = 5.0
+    store["b"].grad[1] = bad
+    store["c"].grad[0] = bad
+    before = {n: (p.value.data.copy(), p.grad.copy()) for n, p in store.items()}
+    with pytest.raises(FloatingPointError, match="'b'"):
+        M.clip_grad_norm(store, 1.0)
+    for name, p in store.items():
+        value, grad = before[name]
+        assert np.array_equal(p.value.data, value)
+        assert np.array_equal(p.grad, grad, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import rdteunet.nn as nn
+import rdteunet.stairconv as sc
 import rdteunet.tensor as T
 from rdteunet.tensor import ConfigError, ParamStore, ShapeError, Tape, Tensor, gradcheck
 
@@ -111,6 +113,82 @@ def test_conv_groups_gradcheck():
             return T.tsum(T.mul(y, y))
 
         assert gradcheck(f, w, eps=1e-5, tol=1e-6).passed
+
+
+# ---------------------------------------------------------------------------
+# conv2d against the im2col oracle
+
+def im2col_conv2d(x, w, b, g, stride, pad, groups):
+    """Test-only oracle: the GEMM-lowered convolution over an explicitly
+    padded input. Returns y and, for output grads g, (dx, dw, db)."""
+    n, h, wd, cin = x.shape
+    kh, kw, cig, cout = w.shape
+    pt, pb, pl, pr = pad
+    oh = nn.conv_out_extent(h, pt, pb, kh, stride)
+    ow = nn.conv_out_extent(wd, pl, pr, kw, stride)
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        n * oh * ow, kh * kw * cin)
+    if groups == 1:
+        y = (cols @ w.reshape(kh * kw * cin, cout)).reshape(n, oh, ow, cout)
+    else:
+        win_g = cols.reshape(n, oh, ow, kh, kw, groups, cig)
+        w_g = w.reshape(kh, kw, cig, groups, cout // groups)
+        y = np.einsum("nhwijgc,ijcgo->nhwgo", win_g, w_g).reshape(n, oh, ow, cout)
+    y = y + b
+    if groups == 1:
+        g2 = g.reshape(n * oh * ow, cout)
+        dw = (cols.T @ g2).reshape(w.shape)
+        dcols = (g2 @ w.reshape(kh * kw * cin, cout).T).reshape(n, oh, ow, kh, kw, cin)
+    else:
+        g_g = g.reshape(n, oh, ow, groups, cout // groups)
+        dw = np.einsum("nhwijgc,nhwgo->ijcgo", win_g, g_g).reshape(w.shape)
+        dcols = np.einsum("nhwgo,ijcgo->nhwijgc", g_g, w_g).reshape(n, oh, ow, kh, kw, cin)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + oh * stride:stride, j:j + ow * stride:stride, :] += dcols[:, :, :, i, j, :]
+    return y, (dxp[:, pt:pt + h, pl:pl + wd, :], dw, g.sum(axis=(0, 1, 2)))
+
+
+# id -> (x shape, w shape, stride, pad, groups)
+_ORACLE_CASES = {
+    # every stair branch's extents on the 8x8 and 4x4 maps of stages 4 and 5
+    **{f"stair_{axis}_{level}_{side}_{hw}x{hw}":
+       ((2, hw, hw, 3), (3 * level, 3 * level, 3, 4), 1, sc.stair_pads(axis, level, side, 3), 1)
+       for hw in (4, 8) for level in (1, 2)
+       for axis, side in (("horizontal", "right"), ("horizontal", "left"),
+                          ("vertical", "up"), ("vertical", "down"))},
+    "k6_on_4x4_symmetric": ((2, 4, 4, 3), (6, 6, 3, 4), 1, (3, 3, 3, 3), 1),
+    "k2_stride2": ((2, 6, 6, 3), (2, 2, 3, 5), 2, (0, 0, 0, 0), 1),
+    # pads wider than the kernel: whole output rows/columns see only padding
+    "pad_wider_than_kernel": ((2, 4, 5, 3), (3, 2, 3, 4), 1, (5, 0, 1, 4), 1),
+    "pad_wider_than_kernel_stride2": ((1, 5, 4, 2), (3, 3, 2, 3), 2, (4, 5, 0, 6), 1),
+    "k1": ((2, 5, 4, 3), (1, 1, 3, 4), 1, (0, 0, 0, 0), 1),
+    "groups_c_pairs": ((2, 5, 5, 6), (1, 3, 2, 3), 1, (0, 0, 1, 1), 3),
+    "groups_2_three_out": ((2, 5, 5, 4), (3, 3, 2, 6), 1, (1, 1, 1, 1), 2),
+}
+
+
+@pytest.mark.parametrize("xs, ws, stride, pad, groups", list(_ORACLE_CASES.values()),
+                         ids=list(_ORACLE_CASES))
+def test_conv2d_matches_im2col_oracle(xs, ws, stride, pad, groups):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(xs)
+    w = rng.standard_normal(ws)
+    b = rng.standard_normal(ws[3])
+    with T.using_dtype(np.float64):
+        xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+        with Tape() as tape:
+            y = nn.conv2d(xt, wt, bt, stride=stride, pad=pad, groups=groups)
+            g = rng.standard_normal(y.shape)
+            grads = tape.grad(T.tsum(T.mul(y, Tensor(g))), [xt, wt, bt])
+    y_ref, grads_ref = im2col_conv2d(x, w, b, g, stride, pad, groups)
+    assert y.shape == y_ref.shape
+    assert np.allclose(y.data, y_ref, rtol=1e-12, atol=1e-12)
+    for name, got, ref in zip(("dx", "dw", "db"), grads, grads_ref):
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rdteunet.nn as nn
 import rdteunet.stairconv as sc
 import rdteunet.tensor as T
 from rdteunet.tensor import ConfigError, ParamStore, ShapeError, Tensor
@@ -23,44 +24,38 @@ def shift_right(a):
 
 
 # ---------------------------------------------------------------------------
-# stair_pad placement
+# stair_pads placement
 
 def test_pad_horizontal_level1_right():
-    x = Tensor(np.ones((1, 4, 4, 1), dtype=np.float32))
-    y = sc.stair_pad(x, "horizontal", 1, "right", 3)
-    assert y.shape == (1, 7, 7, 1)
-    # 3 zero columns appended right, 1 zero row on top, 2 on bottom
-    assert np.all(y.data[0, :, 4:, 0] == 0)
-    assert np.all(y.data[0, 0, :, 0] == 0)
-    assert np.all(y.data[0, 5:, :, 0] == 0)
-    assert np.all(y.data[0, 1:5, 0:4, 0] == 1)
+    # 3 zero columns right, 1 zero row on top, 2 on bottom
+    assert sc.stair_pads("horizontal", 1, "right", 3) == (1, 2, 0, 3)
 
 
 def test_pad_vertical_level2_up():
-    x = Tensor(np.ones((1, 4, 4, 1), dtype=np.float32))
-    y = sc.stair_pad(x, "vertical", 2, "up", 3)
-    assert y.shape == (1, 10, 10, 1)
-    assert np.all(y.data[0, :6, :, 0] == 0)  # 6 zero rows above
-    assert np.all(y.data[0, :, :3, 0] == 0)  # orthogonal split 3 before
-    assert np.all(y.data[0, :, 7:, 0] == 0)  # and 3 after
-    assert np.all(y.data[0, 6:, 3:7, 0] == 1)
+    # 6 zero rows above; the orthogonal split is 3 before and 3 after
+    assert sc.stair_pads("vertical", 2, "up", 3) == (6, 0, 3, 3)
 
 
 def test_pad_preserves_values_at_shifted_coords():
+    # content lands 3 columns right, 1 row down (floor(3/2)=1 before): the
+    # implicitly padded conv equals a valid conv over the explicitly padded map
+    pads = sc.stair_pads("horizontal", 1, "left", 3)
+    assert pads == (1, 2, 3, 0)
     x = rx((1, 3, 5, 2), seed=2)
-    y = sc.stair_pad(x, "horizontal", 1, "left", 3)
-    # content lands 3 columns right, 1 row down (floor(3/2)=1 before)
-    assert np.array_equal(y.data[0, 1:4, 3:8, :], x.data[0])
+    w = rx((3, 3, 2, 2), seed=3)
+    padded = np.zeros((1, 6, 8, 2), dtype=x.data.dtype)
+    padded[0, 1:4, 3:8, :] = x.data[0]
+    assert np.allclose(nn.conv2d(x, w, pad=pads).data, nn.conv2d(Tensor(padded), w).data,
+                       atol=1e-5)
 
 
 def test_pad_rejects_bad_args():
-    x = rx((1, 4, 4, 1))
     with pytest.raises(ConfigError):
-        sc.stair_pad(x, "diagonal", 1, "right", 3)
+        sc.stair_pads("diagonal", 1, "right", 3)
     with pytest.raises(ConfigError):
-        sc.stair_pad(x, "horizontal", 3, "right", 3)
+        sc.stair_pads("horizontal", 3, "right", 3)
     with pytest.raises(ConfigError):
-        sc.stair_pad(x, "horizontal", 1, "up", 3)
+        sc.stair_pads("horizontal", 1, "up", 3)
 
 
 # ---------------------------------------------------------------------------

@@ -314,17 +314,6 @@ def test_take_channels_grad_scatter():
     assert np.array_equal(g, [[1.0, 0.0, 2.0]])
 
 
-def test_pad2d_and_grad():
-    x = Tensor(np.arange(4.0, dtype=np.float32).reshape(1, 2, 2, 1))
-    y = T.pad2d(x, (1, 0, 0, 2))
-    assert y.shape == (1, 3, 4, 1)
-    assert np.all(y.data[0, 0, :, 0] == 0)
-    assert np.all(y.data[0, 1:, 2:, 0] == 0)
-    with Tape() as tape:
-        g = tape.grad(T.tsum(T.pad2d(x, (1, 0, 0, 2))), [x])[0]
-    assert np.array_equal(g, np.ones((1, 2, 2, 1), dtype=np.float32))
-
-
 def test_reshape_swap_last2_grads():
     x = Tensor(np.arange(24.0, dtype=np.float32).reshape(2, 3, 4))
     assert T.reshape(x, (2, 4, 3)).shape == (2, 4, 3)
