@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import ConfigError, FormatError, Tensor, TruncationError, read_rdtf, write_rdtf
+from .tensor import (ConfigError, FormatError, Tensor, TruncationError, _json_object, read_rdtf,
+                     write_rdtf)
 
 SHAPE_ELLIPSE = 1
 SHAPE_RECTANGLE = 2
@@ -136,10 +137,12 @@ def write_pgm(path, ids: np.ndarray) -> None:
 
 def read_pgm(path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
+    m = re.match(rb"P5\s+(\d{1,9})\s+(\d{1,9})\s+(\d{1,9})\s", raw)
     if not m:
         raise FormatError(f"malformed PGM header in {path}")
     w, h, maxval = (int(m.group(i)) for i in (1, 2, 3))
+    if w < 1 or h < 1:
+        raise FormatError(f"PGM extents must be >= 1, got {w}x{h}")
     if maxval != 255:
         raise FormatError(f"PGM maxval must be 255, got {maxval}")
     data = raw[m.end():]
@@ -177,13 +180,18 @@ def read_manifest(d) -> dict:
     p = Path(d) / "manifest.json"
     if not p.exists():
         raise FormatError(f"no manifest.json in {d}")
-    doc = json.loads(p.read_text())
+    doc = _json_object(p.read_bytes(), f"manifest in {d}")
     required = {"count", "size", "classes", "seed", "format"}
     missing = required - set(doc)
     if missing:
         raise FormatError(f"manifest missing keys: {sorted(missing)}")
     if doc["format"] != "rdtf+pgm":
         raise FormatError(f"unsupported dataset format {doc['format']!r}")
+    for key in ("count", "size", "classes", "seed"):
+        if type(doc[key]) is not int:
+            raise FormatError(f"manifest {key!r} must be an int, got {doc[key]!r}")
+    if doc["count"] < 1:
+        raise FormatError(f"manifest count must be >= 1, got {doc['count']}")
     return doc
 
 

@@ -63,17 +63,21 @@ def check_elementwise(tol):
 
 
 def check_matmul(tol):
-    a = _rx((3, 4), 2)
-    b = _rx((4, 3), 3)
-    r1 = gradcheck(lambda v: T.tsum(T.mul(T.matmul(v, b), T.matmul(v, b))), a, EPS, tol)
-    r2 = gradcheck(lambda v: T.tsum(T.mul(T.matmul(a, v), T.matmul(a, v))), b, EPS, tol)
-    return [r1, r2]
+    reports = []
+    # 2-D, then batched (2, 3, 4) @ (2, 4, 3)
+    for seed, batch in ((2, ()), (67, (2,))):
+        a = _rx(batch + (3, 4), seed)
+        b = _rx(batch + (4, 3), seed + 1)
+        reports += [
+            gradcheck(lambda v: T.tsum(T.mul(T.matmul(v, b), T.matmul(v, b))), a, EPS, tol),
+            gradcheck(lambda v: T.tsum(T.mul(T.matmul(a, v), T.matmul(a, v))), b, EPS, tol)]
+    return reports
 
 
 def check_softmax(tol):
     x = _rx((3, 5), 4)
     probe = _rx((3, 5), 5)
-    return [gradcheck(lambda v: _probe_loss(T.softmax_rows(v), probe), x, EPS, tol)]
+    return [gradcheck(lambda v: _probe_loss(T.softmax_channels(v), probe), x, EPS, tol)]
 
 
 def check_conv2d(tol):
@@ -150,22 +154,20 @@ def check_mlp(tol):
     r1 = gradcheck(lambda v: _probe_loss(mlp(v), probe), x, EPS, tol)
 
     def fw(v):
-        store.set_value("m.w1", v)
+        store.set_value("m.fc1.w", v)
         return _probe_loss(mlp(x), probe)
 
-    r2 = gradcheck(fw, store.value("m.w1"), EPS, tol)
+    r2 = gradcheck(fw, store.value("m.fc1.w"), EPS, tol)
     return [r1, r2]
 
 
-def check_res_block(tol):
+def check_resblock(tol):
     store = ParamStore()
     blk = nn.ResBlock(store, "rb", np.random.default_rng(29), 2)
     x = _rx((1, 4, 4, 2), 30)
     probe = _rx((1, 4, 4, 2), 31)
-    snap = store.snapshot_buffers()
 
     def f(v):
-        store.load_buffers(snap)
         return _probe_loss(blk(v, training=True), probe)
 
     return [gradcheck(f, x, EPS, tol)]
@@ -176,14 +178,11 @@ def _stair_check(axis, seed, tol):
     stair = sc.StairConv(store, "s", np.random.default_rng(seed), axis, 2, 4, k=2)
     x = _rx((1, 4, 4, 2), seed + 1)
     probe = _rx((1, 4, 4, 4), seed + 2)
-    snap = store.snapshot_buffers()
 
     def f(v):
-        store.load_buffers(snap)
         return _probe_loss(stair(v, training=True), probe)
 
     def fw(v):
-        store.load_buffers(snap)
         store.set_value("s.b2_" + ("left" if axis == sc.HORIZONTAL else "down") + ".conv.w", v)
         return _probe_loss(stair(x, training=True), probe)
 
@@ -196,10 +195,8 @@ def check_hvda_branch(tol):
     branch = hv.HvdaBranch(store, "br", np.random.default_rng(40), 2)
     x = _rx((1, 4, 4, 2), 41)
     probe = _rx((1, 4, 4, 2), 42)
-    snap = store.snapshot_buffers()
 
     def f(v):
-        store.load_buffers(snap)
         return _probe_loss(branch(v, training=True), probe)
 
     return [gradcheck(f, x, EPS, tol)]
@@ -210,14 +207,11 @@ def check_hvda_attention(tol):
     attn = hv.HvdaAttention(store, "at", np.random.default_rng(43), 2)
     x = _rx((1, 4, 4, 2), 44)
     probe = _rx((1, 4, 4, 2), 45)
-    snap = store.snapshot_buffers()
 
     def f(v):
-        store.load_buffers(snap)
         return _probe_loss(attn(v, training=True), probe)
 
     def fq(v):
-        store.load_buffers(snap)
         store.set_value("at.proj_q.w", v)
         return _probe_loss(attn(x, training=True), probe)
 
@@ -230,10 +224,8 @@ def check_details_block(tol):
     blk = hv.DetailsTransformerBlock(store, "dtb", np.random.default_rng(46), 4)
     x = _rx((1, 4, 4, 4), 47)
     probe = _rx((1, 4, 4, 4), 48)
-    snap = store.snapshot_buffers()
 
     def f(v):
-        store.load_buffers(snap)
         return _probe_loss(blk(v, training=True), probe)
 
     return [gradcheck(f, x, EPS, tol)]
@@ -306,7 +298,8 @@ def check_model_subset(tol):
     """sum(logits) gradient w.r.t. 20 random parameter coordinates.
 
     One taped backward supplies all analytic values; each coordinate is then
-    verified by central differences with buffers restored between probes.
+    verified by central differences. Training-mode batch norm reads batch
+    statistics and only writes its running buffers, so probes stay pure.
     """
     cfg = M.ModelConfig(h=32, w=32, in_channels=1, num_classes=4, base_width=16,
                         variant="full", seed=3)
@@ -320,17 +313,14 @@ def check_model_subset(tol):
         name = names[rng.integers(0, len(names))]
         flat = int(rng.integers(0, store.value(name).size))
         picks.append((name, flat))
-    snap = store.snapshot_buffers()
 
     def loss_value() -> float:
-        store.load_buffers(snap)
         with T.Tape():
             return T.tsum(model(x, training=True)).item()
 
     if loss_value() != loss_value():
         raise T.NondeterminismError("model forward not deterministic; check invalid")
 
-    store.load_buffers(snap)
     with T.Tape() as tape:
         loss = T.tsum(model(x, training=True))
         grads = tape.grad(loss, [store.value(n) for n, _ in picks])
@@ -358,11 +348,11 @@ def check_model_subset(tol):
 
 SCOPES: dict[str, dict[str, Check]] = {
     "tensor": {"tensor.elementwise_chain": check_elementwise, "tensor.matmul": check_matmul,
-               "tensor.softmax_rows": check_softmax},
+               "tensor.softmax": check_softmax},
     "nn": {"nn.conv2d": check_conv2d, "nn.conv2d_groups": check_conv2d_groups,
            "nn.conv2d_transpose": check_conv2d_transpose, "nn.batch_norm": check_batch_norm,
            "nn.layer_norm": check_layer_norm, "nn.avg_pool": check_avg_pool,
-           "nn.mlp_block": check_mlp, "nn.res_block": check_res_block},
+           "nn.mlp": check_mlp, "nn.resblock": check_resblock},
     "stair": {"stair.horizontal": lambda tol: _stair_check(sc.HORIZONTAL, 32, tol),
               "stair.vertical": lambda tol: _stair_check(sc.VERTICAL, 36, tol)},
     "hvda": {"hvda.branch": check_hvda_branch, "hvda.attention": check_hvda_attention,

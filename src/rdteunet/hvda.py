@@ -3,8 +3,9 @@
 A detail branch runs horizontal and vertical StairConv paths, fuses them
 with 1x1/3x3 conv stages and residual adds, and three such branches feed the
 Q/K/V projections of a spatial self-attention whose map is the row-softmaxed
-outer product of two per-position scalars. Attention cost is hw x hw, so a
-cap keeps it confined to coarse feature maps.
+outer product of two per-position scalars, one map per sample. Attention
+cost is hw x hw, so a cap keeps it confined to coarse feature maps. The
+transformer block's MLP is two 1x1 convolutions (nn.Mlp).
 """
 
 from __future__ import annotations
@@ -43,18 +44,17 @@ class HvdaBranch:
 
 
 def attention_map(q: Tensor, k: Tensor) -> Tensor:
-    """Row-softmaxed outer product of two hw-vectors: row i weights positions."""
-    if q.data.ndim != 1 or k.data.ndim != 1 or q.shape != k.shape:
-        raise ShapeError(f"attention_map expects equal 1-D vectors, got {q.shape}, {k.shape}")
-    hw = q.shape[0]
-    scores = T.matmul(T.reshape(q, (hw, 1)), T.reshape(k, (1, hw)))
-    return T.softmax_rows(scores)
+    """Row-softmaxed outer product of two (..., hw) maps: row i weights positions."""
+    if q.data.ndim < 1 or q.shape != k.shape:
+        raise ShapeError(f"attention_map expects equal (..., hw) maps, got {q.shape}, {k.shape}")
+    hw = q.shape[-1]
+    scores = T.matmul(T.reshape(q, q.shape + (1,)), T.reshape(k, k.shape[:-1] + (1, hw)))
+    return T.softmax_channels(scores)
 
 
 def attention_from_qkv(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Weight the (c, hw) value matrix by the attention map: out[:, i] = V @ B[i, :]."""
-    b = attention_map(q, k)
-    return T.matmul(v, T.swap_last2(b))
+    """Weight the (..., c, hw) values by the attention map: out[..., i] = V @ B[..., i, :]."""
+    return T.matmul(v, T.swap_last2(attention_map(q, k)))
 
 
 class HvdaAttention:
@@ -89,14 +89,9 @@ class HvdaAttention:
         else:
             fq = fk = fv = x
         qm, km, vm = self.proj_q(fq), self.proj_k(fk), self.proj_v(fv)
-        # batched form of attention_from_qkv, one map per sample
-        q = T.reshape(qm, (n, hw))
-        k = T.reshape(km, (n, hw))
-        b = T.softmax_channels(T.outer_batch(q, k))
         v = T.swap_last2(T.reshape(vm, (n, hw, c)))  # (n, c, hw)
-        o = T.apply_attention(v, b)
-        att = T.reshape(T.swap_last2(o), (n, h, w, c))
-        return self.proj_out(att)
+        o = attention_from_qkv(T.reshape(qm, (n, hw)), T.reshape(km, (n, hw)), v)
+        return self.proj_out(T.reshape(T.swap_last2(o), (n, h, w, c)))
 
 
 class DetailsTransformerBlock:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .tensor import (
     ParamStore,
     ShapeError,
     Tensor,
+    _json_object,
     _read_exact,
     read_rdtf_record,
     write_rdtf_record,
@@ -67,13 +68,18 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
+        known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
         missing = known - set(d)
         if missing:
             raise ConfigError(f"missing model config keys: {sorted(missing)}")
+        for f in fields(cls):
+            # every default is an int except variant's str; bools are not ints here
+            if type(d[f.name]) is not type(f.default):
+                raise ConfigError(f"model config {f.name!r} must be "
+                                  f"{type(f.default).__name__}, got {d[f.name]!r}")
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -141,7 +147,7 @@ class RdteUnet:
         # identity map; with Kaiming everywhere the ten-block residual chain
         # multiplies activation variance until the loss diverges at this depth
         for name in self.store.names():
-            if name.endswith(".attn.proj_out.w") or name.endswith(".mlp.w2") \
+            if name.endswith(".attn.proj_out.w") or name.endswith(".mlp.fc2.w") \
                     or name.endswith(".block.bn2.gamma"):
                 self.store.set_value(name, T.zeros(self.store.value(name).shape))
 
@@ -341,35 +347,42 @@ def load_checkpoint(path) -> RdteUnet:
         entries: dict[str, Tensor] = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(f, 2))
-            name = _read_exact(f, nlen).decode("utf-8")
+            raw = _read_exact(f, nlen)
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"checkpoint entry name {raw!r} is not UTF-8") from e
             if name in entries:
                 raise FormatError(f"duplicate checkpoint entry {name!r}")
             entries[name] = read_rdtf_record(f)
         (jlen,) = struct.unpack("<I", _read_exact(f, 4))
-        blob = json.loads(_read_exact(f, jlen).decode("utf-8"))
+        blob = _json_object(_read_exact(f, jlen), "checkpoint config")
         if f.read(1):
             raise FormatError("trailing bytes after checkpoint")
 
     step = blob.pop("step", 0)
-    config = ModelConfig.from_dict(blob)
+    if type(step) is not int or step < 0:
+        raise FormatError(f"checkpoint step must be a non-negative int, got {step!r}")
+    try:
+        config = ModelConfig.from_dict(blob)
+    except ConfigError as e:
+        raise FormatError(f"checkpoint config: {e}") from e
     model = RdteUnet(config)
     store = model.store
     param_names = set(store.names())
     buffer_names = set(store.buffer_names())
-    seen = set()
     for name, t in entries.items():
-        if name in param_names:
-            store.set_value(name, t)  # raises ShapeError on mismatch
-        elif name in buffer_names:
-            buf = store.buffer(name)
-            if t.shape != buf.shape:
-                raise ShapeError(f"buffer {name!r}: expected {buf.shape}, got {t.shape}")
-            buf[...] = t.data
-        else:
+        if name not in param_names and name not in buffer_names:
             raise FormatError(f"checkpoint entry {name!r} not a model parameter")
-        seen.add(name)
-    missing = (param_names | buffer_names) - seen
+        want = (store.value(name) if name in param_names else store.buffer(name)).shape
+        if t.shape != want:
+            raise FormatError(f"checkpoint entry {name!r}: expected shape {want}, got {t.shape}")
+        if name in param_names:
+            store.set_value(name, t)
+        else:
+            store.buffer(name)[...] = t.data
+    missing = (param_names | buffer_names) - set(entries)
     if missing:
         raise FormatError(f"checkpoint missing parameters: {sorted(missing)[:5]}")
-    model.step = int(step)
+    model.step = step
     return model

@@ -1,6 +1,8 @@
 """Standard layers over the tensor core: convolution with arbitrary
 asymmetric padding / stride / groups, 2x2 stride-2 transposed convolution,
-batch/layer norm, same-size average pooling, MLP and residual blocks.
+batch/layer norm, and residual blocks. Average pooling (a depthwise
+ones-kernel convolution) and the channel MLP (two 1x1 convolutions) run
+through the same conv2d.
 
 Feature maps are NHWC; conv weights are (kh, kw, cin/groups, cout);
 convolution is cross-correlation (no kernel flip), summed over kernel taps
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .tensor import (
@@ -22,9 +23,8 @@ from .tensor import (
     Tensor,
     _rec,
     add,
-    matmul,
+    mul,
     relu,
-    reshape,
     silu,
 )
 
@@ -185,32 +185,24 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 # pooling
 
+def _window_counts(size: int, p: int) -> np.ndarray:
+    """Per position on one axis, how many pixels of its 2p+1 window are in the image."""
+    i = np.arange(size)
+    return np.minimum(i + p, size - 1) - np.maximum(i - p, 0) + 1
+
+
 def avg_pool(x: Tensor, k: int = 3) -> Tensor:
-    """Stride-1 same-size average pooling; border windows divide by the true
-    pixel count."""
+    """Stride-1 same-size average pooling: a depthwise ones-kernel conv2d times
+    1/(window pixel count), so border windows divide by the true pixel count."""
     if k % 2 == 0:
         raise ConfigError(f"same-padding average pooling needs odd k, got {k}")
     if x.data.ndim != 4:
         raise ShapeError(f"avg_pool expects NHWC input, got {x.shape}")
     n, h, wd, c = x.shape
     p = k // 2
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))
-    sums = win.sum(axis=(4, 5))
-    ones = np.pad(np.ones((h, wd), dtype=x.data.dtype), p)
-    counts = sliding_window_view(ones, (k, k)).sum(axis=(2, 3))
-    y = sums / counts[None, :, :, None]
-    out = Tensor(y)
-
-    def bw(g):
-        gg = g / counts[None, :, :, None]
-        dxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, i:i + h, j:j + wd, :] += gg
-        return (np.ascontiguousarray(dxp[:, p:p + h, p:p + wd, :]),)
-
-    return _rec(out, (x,), bw)
+    sums = conv2d(x, Tensor(np.ones((k, k, 1, c))), pad=(p, p, p, p), groups=c)
+    inv = 1.0 / np.outer(_window_counts(h, p), _window_counts(wd, p))
+    return mul(sums, Tensor(np.broadcast_to(inv[None, :, :, None], x.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +297,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 # ---------------------------------------------------------------------------
-# composite blocks (functional forms)
-
-def mlp_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Per-position two-layer MLP on channels: linear -> SiLU -> linear."""
-    n, h, wd, c = x.shape
-    flat = reshape(x, (n * h * wd, c))
-    hidden = silu(add(matmul(flat, w1), b1))
-    y = add(matmul(hidden, w2), b2)
-    return reshape(y, (n, h, wd, w2.shape[1]))
-
-
-def res_block(x: Tensor, conv1: "Conv2d", bn1: "BatchNorm",
-              conv2: "Conv2d", bn2: "BatchNorm", training: bool) -> Tensor:
-    """y = ReLU(BN(conv(ReLU(BN(conv(x))))) + x); channels preserved."""
-    h = relu(bn1(conv1(x), training))
-    h = bn2(conv2(h), training)
-    return relu(add(h, x))
-
-
-# ---------------------------------------------------------------------------
 # parameterized layer wrappers
 
 class Conv2d:
@@ -409,25 +381,19 @@ class LayerNorm:
 
 
 class Mlp:
-    """Channel MLP with hidden width 4 * c."""
+    """Per-position channel MLP: 1x1 conv to 4 * c, SiLU, 1x1 conv back to c."""
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
-        hidden = 4 * c
-        self.w1, self.b1 = f"{prefix}.w1", f"{prefix}.b1"
-        self.w2, self.b2 = f"{prefix}.w2", f"{prefix}.b2"
-        store.add(self.w1, kaiming_uniform(rng, (c, hidden), c, gain=1.0))
-        store.add(self.b1, T.zeros((hidden,)))
-        store.add(self.w2, kaiming_uniform(rng, (hidden, c), hidden, gain=1.0))
-        store.add(self.b2, T.zeros((c,)))
-        self.store = store
+        self.fc1 = Conv2d(store, f"{prefix}.fc1", rng, c, 4 * c, 1, pad="valid")
+        self.fc2 = Conv2d(store, f"{prefix}.fc2", rng, 4 * c, c, 1, pad="valid")
 
     def __call__(self, x: Tensor) -> Tensor:
-        s = self.store
-        return mlp_block(x, s.value(self.w1), s.value(self.b1), s.value(self.w2), s.value(self.b2))
+        return self.fc2(silu(self.fc1(x)))
 
 
 class ResBlock:
-    """Two same-pad 3x3 convs with BN/ReLU and an identity shortcut."""
+    """Two same-pad 3x3 convs with BN/ReLU and an identity shortcut:
+    y = ReLU(BN(conv(ReLU(BN(conv(x))))) + x); channels preserved."""
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
         self.conv1 = Conv2d(store, f"{prefix}.conv1", rng, c, c, 3, init_gain=2.0)
@@ -436,7 +402,8 @@ class ResBlock:
         self.bn2 = BatchNorm(store, f"{prefix}.bn2", c)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return res_block(x, self.conv1, self.bn1, self.conv2, self.bn2, training)
+        h = relu(self.bn1(self.conv1(x), training))
+        return relu(add(self.bn2(self.conv2(h), training), x))
 
 
 def tensor_ones(c: int) -> Tensor:

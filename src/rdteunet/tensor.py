@@ -9,6 +9,7 @@ float32 by contract; a float64 switch exists to tighten gradient checks.
 from __future__ import annotations
 
 import io
+import json
 import math
 import struct
 import threading
@@ -310,13 +311,6 @@ class ParamStore:
     def n_scalars(self) -> int:
         return sum(p.value.size for p in self._params.values())
 
-    def snapshot_buffers(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self._buffers.items()}
-
-    def load_buffers(self, snap: dict[str, np.ndarray]) -> None:
-        for k, v in snap.items():
-            self._buffers[k][...] = v
-
 
 def backward(tape: Tape, loss: Tensor, params: ParamStore) -> None:
     """Fill every param's grad with d(loss)/d(param); unreachable params get zeros."""
@@ -458,39 +452,22 @@ def sigmoid(a: Tensor) -> Tensor:
 # linear algebra / reductions / structure
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """(..., m, k) @ (..., k, n) -> (..., m, n), for equal leading (batch) shapes."""
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul expects (..., m, k) and (..., k, n) operands with equal "
+                         f"batch shapes, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dims differ: {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
-    return _rec(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, stabilized by row-max subtraction."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects 2-D input, got {a.shape}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y)
-
-    def bw(g):
-        dot = (g * out.data).sum(axis=1, keepdims=True)
-        return ((g - dot) * out.data,)
-
-    return _rec(out, (a,), bw)
-
-
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _rec(out, (a, b), lambda g: (g @ np.swapaxes(b.data, -1, -2),
+                                        np.swapaxes(a.data, -1, -2) @ g))
 
 
 def softmax_channels(a: Tensor) -> Tensor:
-    """Softmax over the last (channel) axis of an N-D tensor."""
-    out = Tensor(_softmax_last(a.data))
+    """Softmax over the last (channel) axis of an N-D tensor, stabilized by
+    max subtraction."""
+    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    out = Tensor(e / e.sum(axis=-1, keepdims=True))
 
     def bw(g):
         dot = (g * out.data).sum(axis=-1, keepdims=True)
@@ -509,36 +486,6 @@ def log_softmax_channels(a: Tensor) -> Tensor:
         return (g - sm * g.sum(axis=-1, keepdims=True),)
 
     return _rec(out, (a,), bw)
-
-
-def outer_batch(q: Tensor, k: Tensor) -> Tensor:
-    """Per-sample outer product: (n, m) x (n, m) -> (n, m, m)."""
-    if q.data.ndim != 2 or q.shape != k.shape:
-        raise ShapeError(f"outer_batch expects matching (n, m) inputs, got {q.shape}, {k.shape}")
-    out = Tensor(q.data[:, :, None] * k.data[:, None, :])
-
-    def bw(g):
-        dq = np.einsum("nij,nj->ni", g, k.data, optimize=True)
-        dk = np.einsum("nij,ni->nj", g, q.data, optimize=True)
-        return dq, dk
-
-    return _rec(out, (q, k), bw)
-
-
-def apply_attention(v: Tensor, b: Tensor) -> Tensor:
-    """Weight per-sample value matrices by attention maps:
-    out[n, c, i] = sum_j v[n, c, j] * b[n, i, j]."""
-    if v.data.ndim != 3 or b.data.ndim != 3 or v.shape[0] != b.shape[0] \
-            or v.shape[2] != b.shape[2] or b.shape[1] != b.shape[2]:
-        raise ShapeError(f"apply_attention shapes {v.shape} x {b.shape} invalid")
-    out = Tensor(np.einsum("ncj,nij->nci", v.data, b.data, optimize=True))
-
-    def bw(g):
-        dv = np.einsum("nci,nij->ncj", g, b.data, optimize=True)
-        db = np.einsum("nci,ncj->nij", g, v.data, optimize=True)
-        return dv, db
-
-    return _rec(out, (v, b), bw)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -685,6 +632,17 @@ def _read_exact(f, n: int) -> bytes:
     return buf
 
 
+def _json_object(raw: bytes, what: str) -> dict:
+    """Parse UTF-8 JSON that must be an object; anything else is a FormatError."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # bad UTF-8/JSON, huge int; deep nesting
+        raise FormatError(f"{what} is not UTF-8 JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _bytes_left(f) -> int:
     """Bytes from the position of the seekable stream `f` to its end."""
     pos = f.tell()
@@ -715,6 +673,8 @@ def read_rdtf_record(f) -> Tensor:
         raise FormatError(f"unsupported dtype byte {dtype}")
     if reserved != 0:
         raise FormatError("reserved byte must be zero")
+    if rank > 64:
+        raise FormatError(f"rank {rank} exceeds the 64 dimensions an array can have")
     shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(rank))
     if any(s < 1 for s in shape):
         raise FormatError(f"non-positive extent in {shape}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rdteunet.datasynth as ds
-from rdteunet.tensor import ConfigError, FormatError
+from rdteunet.tensor import ConfigError, FormatError, TruncationError
 
 
 def test_spec_validation():
@@ -75,7 +75,7 @@ def test_pgm_roundtrip_and_truncation(tmp_path):
     ds.write_pgm(p, ids)
     assert np.array_equal(ds.read_pgm(p), ids)
     p.write_bytes(p.read_bytes()[:-2])
-    with pytest.raises(Exception):
+    with pytest.raises(TruncationError):
         ds.read_pgm(p)
 
 

@@ -228,7 +228,7 @@ def test_checkpoint_shape_mismatch(tmp_path):
     entries["head.w"] = T.zeros((1, 1, 5, 5))
     p = tmp_path / "m.rdtc"
     M.write_checkpoint_raw(p, entries, {**model.config.to_dict(), "step": 0})
-    with pytest.raises(ShapeError):
+    with pytest.raises(FormatError, match="head.w"):
         M.load_checkpoint(p)
 
 

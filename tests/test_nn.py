@@ -267,6 +267,20 @@ def test_avg_pool_even_k_error():
         nn.avg_pool(rt((1, 4, 4, 1)), k=2)
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_avg_pool_matches_window_mean_oracle(k):
+    with T.using_dtype(np.float64):
+        x = rt((2, 5, 7, 3), 53)
+        y = nn.avg_pool(x, k=k).data
+    p = k // 2
+    expect = np.empty_like(x.data)
+    for i in range(5):
+        for j in range(7):
+            win = x.data[:, max(i - p, 0):i + p + 1, max(j - p, 0):j + p + 1, :]
+            expect[:, i, j, :] = win.mean(axis=(1, 2))
+    assert np.allclose(y, expect, rtol=1e-12, atol=1e-12)
+
+
 def test_avg_pool_gradcheck():
     with T.using_dtype(np.float64):
         x = rt((1, 4, 4, 2), 52)
@@ -382,9 +396,11 @@ def test_ln_gradcheck():
 # mlp / res blocks
 
 def test_mlp_zero_weights_zero_output():
-    x = rt((1, 2, 2, 3), 81)
-    z3, z12 = T.zeros((3, 12)), T.zeros((12, 3))
-    y = nn.mlp_block(x, z3, T.zeros((12,)), z12, T.zeros((3,)))
+    store = ParamStore()
+    mlp = nn.Mlp(store, "mlp", np.random.default_rng(80), 3)
+    for name in store.names():
+        store.set_value(name, T.zeros(store.value(name).shape))
+    y = mlp(rt((1, 2, 2, 3), 81))
     assert np.all(y.data == 0)
 
 
@@ -392,16 +408,19 @@ def test_mlp_identity_configuration():
     # first layer shifts into SiLU's linear regime, second undoes it
     c, hidden = 3, 12
     shift = 40.0
-    w1 = np.zeros((c, hidden), dtype=np.float32)
-    w1[:c, :c] = np.eye(c)
+    w1 = np.zeros((1, 1, c, hidden), dtype=np.float32)
+    w1[0, 0, :c, :c] = np.eye(c)
     b1 = np.zeros(hidden, dtype=np.float32)
     b1[:c] = shift
-    w2 = np.zeros((hidden, c), dtype=np.float32)
-    w2[:c, :c] = np.eye(c)
+    w2 = np.zeros((1, 1, hidden, c), dtype=np.float32)
+    w2[0, 0, :c, :c] = np.eye(c)
     b2 = np.full(c, -shift, dtype=np.float32)
+    store = ParamStore()
+    mlp = nn.Mlp(store, "mlp", np.random.default_rng(80), c)
+    for name, v in (("fc1.w", w1), ("fc1.b", b1), ("fc2.w", w2), ("fc2.b", b2)):
+        store.set_value(f"mlp.{name}", Tensor(v))
     x = rt((1, 3, 3, c), 82, scale=0.5)
-    y = nn.mlp_block(x, Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2))
-    assert np.allclose(y.data, x.data, atol=1e-5)
+    assert np.allclose(mlp(x).data, x.data, atol=1e-5)
 
 
 def test_mlp_gradcheck():
@@ -441,13 +460,7 @@ def test_res_block_shape_and_gradcheck():
             out = blk(v, training=True)
             return T.tsum(T.mul(out, out))
 
-        snap = store.snapshot_buffers()
-
-        def f_pure(v):
-            store.load_buffers(snap)
-            return f(v)
-
-        assert gradcheck(f_pure, x, eps=1e-5, tol=1e-5).passed
+        assert gradcheck(f, x, eps=1e-5, tol=1e-5).passed
 
 
 def test_param_grads_flow_through_layers():

@@ -122,6 +122,24 @@ def test_matmul_shape_error():
         T.matmul(t(np.zeros((2, 3))), t(np.zeros((4, 2))))
 
 
+def test_matmul_batched_matches_slices():
+    rng = np.random.default_rng(4)
+    a = t(rng.standard_normal((3, 4, 5)))
+    b = t(rng.standard_normal((3, 5, 2)))
+    y = T.matmul(a, b).data
+    assert y.shape == (3, 4, 2)
+    for i in range(3):
+        assert np.array_equal(y[i], T.matmul(t(a.data[i]), t(b.data[i])).data)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((3, 4, 5), (2, 5, 2)), ((3, 4, 5), (5, 2)),
+                                             ((4, 5), (3, 5, 2)), ((5,), (5, 2))],
+                         ids=["batch", "rank_3x2", "rank_2x3", "rank_1x2"])
+def test_matmul_batch_shape_errors(a_shape, b_shape):
+    with pytest.raises(ShapeError):
+        T.matmul(t(np.zeros(a_shape)), t(np.zeros(b_shape)))
+
+
 def test_matmul_associativity():
     rng = np.random.default_rng(0)
     a, b, c = (t(rng.standard_normal((4, 4)).astype(np.float32)) for _ in range(3))
@@ -131,18 +149,18 @@ def test_matmul_associativity():
 
 
 def test_softmax_symmetry():
-    y = T.softmax_rows(t([[0.0, 0.0]]))
+    y = T.softmax_channels(t([[0.0, 0.0]]))
     assert np.allclose(y.data, [[0.5, 0.5]])
 
 
 def test_softmax_no_overflow():
-    y = T.softmax_rows(t([[1000.0, 1000.0]]))
+    y = T.softmax_channels(t([[1000.0, 1000.0]]))
     assert np.allclose(y.data, [[0.5, 0.5]])
 
 
 def test_softmax_hand_ratio():
     # exp(0)=1, exp(ln 3)=3 -> 1/4, 3/4
-    y = T.softmax_rows(t([[0.0, math.log(3.0)]]))
+    y = T.softmax_channels(t([[0.0, math.log(3.0)]]))
     assert np.allclose(y.data, [[0.25, 0.75]], atol=1e-6)
 
 
@@ -152,14 +170,14 @@ def test_softmax_hand_ratio():
        st.floats(min_value=-10, max_value=10))
 def test_softmax_rows_sum_and_shift_invariance(rows, c):
     x = np.asarray(rows, dtype=np.float32)
-    y = T.softmax_rows(Tensor(x)).data
+    y = T.softmax_channels(Tensor(x)).data
     assert np.all(np.abs(y.sum(axis=1) - 1.0) <= 1e-5)
-    y2 = T.softmax_rows(Tensor(x + np.float32(c))).data
+    y2 = T.softmax_channels(Tensor(x + np.float32(c))).data
     assert np.allclose(y, y2, atol=1e-5)
 
 
 def test_softmax_nan_flagged_by_validity_check():
-    y = T.softmax_rows(t([[np.nan, 0.0]]))
+    y = T.softmax_channels(t([[np.nan, 0.0]]))
     assert not T.is_finite(y)
 
 
@@ -260,12 +278,12 @@ def test_gradcheck_matmul_softmax_float64():
         w = Tensor(rng.standard_normal((4, 3)))
 
         def f(v):
-            return T.tsum(T.softmax_rows(T.matmul(v, w)))
+            return T.tsum(T.softmax_channels(T.matmul(v, w)))
 
         # softmax rows sum to one, so perturbations nearly cancel; check a
         # value-weighted head instead to get informative gradients
         def f2(v):
-            s = T.softmax_rows(T.matmul(v, w))
+            s = T.softmax_channels(T.matmul(v, w))
             return T.tsum(T.mul(s, s))
 
         rep = gradcheck(f2, x, eps=1e-5, tol=1e-6)
