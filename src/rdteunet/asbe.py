@@ -155,7 +155,7 @@ class AsbeStem:
         Exactly zero on spatially constant inputs (border-corrected pooling)."""
         return T.sub(x1, nn.avg_pool(x1, k=POOL_K))
 
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         n, h, w, c = x.shape
         if h < 4 or w < 4:
             raise ShapeError(f"stem needs spatial extents >= 4, got {h}x{w}")

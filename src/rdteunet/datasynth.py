@@ -204,5 +204,9 @@ def write_dataset(samples: list[SegSample], d, spec: GenSpec) -> None:
 
 def read_dataset(d) -> tuple[list[SegSample], dict]:
     manifest = read_manifest(d)
+    for i in range(manifest["count"]):
+        if not (_img_path(d, i).is_file() and _msk_path(d, i).is_file()):
+            raise FormatError(f"manifest lists {manifest['count']} samples but sample {i} "
+                              f"is missing from {d}")
     samples = [read_sample(d, i, manifest["classes"]) for i in range(manifest["count"])]
     return samples, manifest

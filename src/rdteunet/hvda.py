@@ -3,7 +3,9 @@
 A detail branch runs horizontal and vertical StairConv paths, fuses them
 with 1x1/3x3 conv stages and residual adds, and three such branches feed the
 Q/K/V projections of a spatial self-attention whose map is the row-softmaxed
-outer product of two per-position scalars, one map per sample. Attention
+outer product of two per-position scalars, one map per sample. Q and K are
+(n, hw) maps and V is the (n, hw, c) reshape of the NHWC value map, so the
+attended values B @ V reshape straight back to (n, h, w, c). Attention
 cost is hw x hw, so a cap keeps it confined to coarse feature maps. The
 transformer block's MLP is two 1x1 convolutions (nn.Mlp).
 """
@@ -53,8 +55,8 @@ def attention_map(q: Tensor, k: Tensor) -> Tensor:
 
 
 def attention_from_qkv(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Weight the (..., c, hw) values by the attention map: out[..., i] = V @ B[..., i, :]."""
-    return T.matmul(v, T.swap_last2(attention_map(q, k)))
+    """Weight the (..., hw, c) values by the attention map: out[..., i, :] = B[..., i, :] @ V."""
+    return T.matmul(attention_map(q, k), v)
 
 
 class HvdaAttention:
@@ -89,9 +91,9 @@ class HvdaAttention:
         else:
             fq = fk = fv = x
         qm, km, vm = self.proj_q(fq), self.proj_k(fk), self.proj_v(fv)
-        v = T.swap_last2(T.reshape(vm, (n, hw, c)))  # (n, c, hw)
-        o = attention_from_qkv(T.reshape(qm, (n, hw)), T.reshape(km, (n, hw)), v)
-        return self.proj_out(T.reshape(T.swap_last2(o), (n, h, w, c)))
+        o = attention_from_qkv(T.reshape(qm, (n, hw)), T.reshape(km, (n, hw)),
+                               T.reshape(vm, (n, hw, c)))
+        return self.proj_out(T.reshape(o, (n, h, w, c)))
 
 
 class DetailsTransformerBlock:

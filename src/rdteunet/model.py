@@ -100,11 +100,9 @@ class RdteUnet:
         if config.variant == "no_asbe":
             self.stem = nn.Conv2d(self.store, "stem.conv", rng, config.in_channels, b, 3,
                                   pad="same")
-            self._stem_takes_mode = False
         else:
             self.stem = AsbeStem(self.store, "stem", rng, config.in_channels, c_stem=b,
                                  c_mid=max(2, b // 2))
-            self._stem_takes_mode = True
 
         detail = config.variant != "no_hvda"
         self.enc_blocks = []
@@ -161,7 +159,7 @@ class RdteUnet:
             raise ShapeError(
                 f"forward expects (N, {expected[0]}, {expected[1]}, {expected[2]}), "
                 f"got {x.shape}")
-        cur = self.stem(x, training) if self._stem_takes_mode else self.stem(x)
+        cur = self.stem(x)
         skips = []
         for i in range(5):
             blk = self.enc_blocks[i]

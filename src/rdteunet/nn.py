@@ -2,7 +2,8 @@
 asymmetric padding / stride / groups, 2x2 stride-2 transposed convolution,
 batch/layer norm, and residual blocks. Average pooling (a depthwise
 ones-kernel convolution) and the channel MLP (two 1x1 convolutions) run
-through the same conv2d.
+through the same conv2d; the transposed convolution is the adjoint of the
+2x2 stride-2 conv2d, computed on that conv's kernel taps.
 
 Feature maps are NHWC; conv weights are (kh, kw, cin/groups, cout);
 convolution is cross-correlation (no kernel flip), summed over kernel taps
@@ -144,8 +145,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
 def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """2x2 stride-2 transposed convolution: doubles H and W.
 
-    Weight layout is (2, 2, cout, cin) so that sharing an array with the
-    matching stride-2 conv2d makes the two ops exact adjoints.
+    The adjoint of the 2x2 stride-2 conv2d from (2h, 2w, cout) to (h, w, cin)
+    with the same (2, 2, cout, cin) weights, computed on that conv's taps: the
+    forward is its input gradient, the input gradient is its forward.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d_transpose expects NHWC input, got {x.shape}")
@@ -158,22 +160,19 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} != ({cout},)")
 
-    y = np.zeros((n, 2 * h, 2 * wd, cout), dtype=x.data.dtype)
-    for i in range(2):
-        for j in range(2):
-            y[:, i::2, j::2, :] = np.tensordot(x.data, w.data[i, j], axes=([3], [1]))
-    if b is not None:
-        y = y + b.data
+    rows, cols = _tap_spans(h, 2 * h, 0, 2, 2), _tap_spans(wd, 2 * wd, 0, 2, 2)
+    taps = [(i, j, r, c) for i, r in enumerate(rows) for j, c in enumerate(cols)]
+    y = np.full((n, 2 * h, 2 * wd, cout), 0 if b is None else b.data, dtype=x.data.dtype)
+    for i, j, (ro, ri), (co, ci) in taps:
+        _tap_madd(y[:, ri, ci], x.data[:, ro, co], w.data[i, j].T, 1)
     out = Tensor(y)
 
     def bw(g):
         dx = np.zeros_like(x.data)
         dw = np.zeros_like(w.data)
-        for i in range(2):
-            for j in range(2):
-                gij = g[:, i::2, j::2, :]
-                dx += np.tensordot(gij, w.data[i, j], axes=([3], [0]))
-                dw[i, j] = np.tensordot(gij, x.data, axes=([0, 1, 2], [0, 1, 2]))
+        for i, j, (ro, ri), (co, ci) in taps:
+            _tap_madd(dx[:, ro, co], g[:, ri, ci], w.data[i, j], 1)
+            dw[i, j] = _tap_weight_grad(g[:, ri, ci], x.data[:, ro, co], 1)
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 1, 2))

@@ -2,10 +2,10 @@
 scales, concatenated and fused by a 2x2 valid convolution.
 
 A horizontal instance shifts its padding left/right, a vertical one up/down.
-The padding is never built: each branch hands its extents to nn.conv2d,
-which skips the taps that would multiply padding zeros. Every branch output
-is (h+1, w+1); the 2x2 fusion restores (h, w), so the operator is
-shape-preserving for any input with h, w >= 2.
+The padding is never built: each branch is an nn.Conv2d whose pad is its
+stair extents, and nn.conv2d skips the taps that would multiply padding
+zeros. Every branch output is (h+1, w+1); the 2x2 fusion restores (h, w),
+so the operator is shape-preserving for any input with h, w >= 2.
 """
 
 from __future__ import annotations
@@ -49,50 +49,32 @@ class StairConv:
     Each branch has ceil(cout / 4) channels; the fusion conv maps their
     concat to cout.
 
-    `padding="symmetric"` keeps the same weights and conv arithmetic but
-    centers every branch's padding; it exists as the baseline against which
-    the directional response of the stair layout is measured.
+    Each branch is an nn.Conv2d layer whose `pad` is set at construction to
+    its stair_pads extents.
     """
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 axis: str, cin: int, cout: int, k: int = 3, padding: str = "stair"):
+                 axis: str, cin: int, cout: int, k: int = 3):
         if axis not in _SIDES:
             raise ConfigError(f"axis must be horizontal or vertical, got {axis!r}")
         if k < 1:
             raise ConfigError(f"base kernel extent must be >= 1, got {k}")
-        self.axis = axis
-        self.k = k
         self.cin = cin
-        self.cout = cout
-        self.padding = padding
         cb = self.c_branch = math.ceil(cout / 4)
         self.branches = []
         for level in (1, 2):
             for side in _SIDES[axis]:
                 name = f"{prefix}.b{level}_{side}"
-                conv = nn.Conv2d(store, f"{name}.conv", rng, cin, cb,
-                                 level * k, pad="valid", init_gain=2.0)
-                bn = nn.BatchNorm(store, f"{name}.bn", cb)
-                self.branches.append((level, side, conv, bn))
+                conv = nn.Conv2d(store, f"{name}.conv", rng, cin, cb, level * k,
+                                 pad=stair_pads(axis, level, side, k), init_gain=2.0)
+                self.branches.append((conv, nn.BatchNorm(store, f"{name}.bn", cb)))
         self.fuse_conv = nn.Conv2d(store, f"{prefix}.fuse.conv", rng, 4 * cb, cout,
                                    2, pad="valid", init_gain=2.0)
         self.fuse_bn = nn.BatchNorm(store, f"{prefix}.fuse.bn", cout)
 
     def branch_features(self, x: Tensor, training: bool) -> Tensor:
-        """Pre-fusion concat of the four SiLU(BN(Conv(x))) branches, each conv
-        zero-padded by its branch's extents."""
-        feats = []
-        for level, side, conv, bn in self.branches:
-            # read per call: the symmetric baseline is selected by setting .padding
-            if self.padding == "stair":
-                pad = stair_pads(self.axis, level, side, self.k)
-            else:
-                total = level * self.k
-                pad = (total // 2, total - total // 2) * 2
-            y = nn.conv2d(x, conv.store.value(conv.w_name), conv.store.value(conv.b_name),
-                          pad=pad)
-            feats.append(T.silu(bn(y, training)))
-        return T.concat(feats, axis=-1)
+        """Pre-fusion concat of the four SiLU(BN(Conv(x))) branches."""
+        return T.concat([T.silu(bn(conv(x), training)) for conv, bn in self.branches])
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if x.data.ndim != 4:

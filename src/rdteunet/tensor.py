@@ -509,14 +509,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _rec(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
-def swap_last2(a: Tensor) -> Tensor:
-    """Transpose the last two axes (any rank >= 2)."""
-    if a.data.ndim < 2:
-        raise ShapeError("swap_last2 needs rank >= 2")
-    out = Tensor(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)))
-    return _rec(out, (a,), lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
-
-
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")

@@ -84,6 +84,14 @@ def test_missing_file_error(tmp_path):
         ds.read_sample(tmp_path, 0)
 
 
+def test_manifest_count_beyond_samples_error(tmp_path):
+    # the manifest lists two samples, the directory holds one
+    ds.write_dataset(ds.generate(ds.GenSpec(count=1, seed=4)), tmp_path,
+                     ds.GenSpec(count=2, seed=4))
+    with pytest.raises(FormatError, match="sample 1 is missing"):
+        ds.read_dataset(tmp_path)
+
+
 def test_class_range_check_on_read(tmp_path):
     spec = ds.GenSpec(count=1, seed=4)
     (s,) = ds.generate(spec)

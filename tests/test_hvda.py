@@ -54,18 +54,18 @@ def test_attention_map_rows_sum_to_one():
 
 def test_attention_uniform_limit_is_spatial_mean():
     rng = np.random.default_rng(11)
-    v = Tensor(rng.standard_normal((3, 8)).astype(np.float32))
+    v = Tensor(rng.standard_normal((8, 3)).astype(np.float32))
     zero = Tensor(np.zeros(8, dtype=np.float32))
     out = hv.attention_from_qkv(zero, zero, v).data
-    mean = v.data.mean(axis=1, keepdims=True)
+    mean = v.data.mean(axis=0, keepdims=True)
     assert np.allclose(out, np.broadcast_to(mean, out.shape), atol=1e-5)
 
 
 def test_attention_constant_v_fixed_point():
     # spatially constant features: every convex combination returns them
     rng = np.random.default_rng(12)
-    col = rng.standard_normal((3, 1)).astype(np.float32)
-    v = Tensor(np.repeat(col, 6, axis=1))
+    row = rng.standard_normal((1, 3)).astype(np.float32)
+    v = Tensor(np.repeat(row, 6, axis=0))
     q = Tensor(rng.standard_normal(6).astype(np.float32))
     k = Tensor(rng.standard_normal(6).astype(np.float32))
     out = hv.attention_from_qkv(q, k, v).data
@@ -76,12 +76,12 @@ def test_attention_permutation_equivariance():
     rng = np.random.default_rng(13)
     q = Tensor(rng.standard_normal(4).astype(np.float32))
     k = Tensor(rng.standard_normal(4).astype(np.float32))
-    v = Tensor(rng.standard_normal((2, 4)).astype(np.float32))
+    v = Tensor(rng.standard_normal((4, 2)).astype(np.float32))
     perm = [2, 0, 3, 1]
     base = hv.attention_from_qkv(q, k, v).data
     shuffled = hv.attention_from_qkv(
-        Tensor(q.data[perm]), Tensor(k.data[perm]), Tensor(v.data[:, perm])).data
-    assert np.allclose(shuffled, base[:, perm], atol=1e-6)
+        Tensor(q.data[perm]), Tensor(k.data[perm]), Tensor(v.data[perm])).data
+    assert np.allclose(shuffled, base[perm], atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +110,10 @@ def test_attention_map_rows_on_module_pipeline():
     vm = attn.proj_v(attn.branch_v(x, False)).data
     for i in range(n):
         q, k = Tensor(qm[i].reshape(h * w)), Tensor(km[i].reshape(h * w))
-        v = Tensor(vm[i].reshape(h * w, c).T)  # (c, hw)
+        v = Tensor(vm[i].reshape(h * w, c))
         assert np.all(np.abs(hv.attention_map(q, k).data.sum(axis=1) - 1.0) <= 1e-5)
         att = hv.attention_from_qkv(q, k, v)
-        expected = attn.proj_out(T.reshape(T.swap_last2(att), (1, h, w, c))).data[0]
+        expected = attn.proj_out(T.reshape(att, (1, h, w, c))).data[0]
         assert np.array_equal(out[i], expected)
 
 

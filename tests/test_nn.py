@@ -211,15 +211,17 @@ def test_transpose_rejects_other_kernels():
         nn.conv2d_transpose(rt((1, 2, 2, 1)), rt((3, 3, 1, 1)), T.zeros((1,)))
 
 
-def test_conv_transpose_adjoint_identity():
+@pytest.mark.parametrize("n,h,w,cin,cout", [(2, 3, 3, 3, 5), (3, 2, 4, 4, 2)])
+def test_conv_transpose_adjoint_identity(n, h, w, cin, cout):
     # <conv2d(x), y> == <x, conv2d_transpose(y)> with a shared weight array
     rng = np.random.default_rng(31)
-    x = Tensor(rng.standard_normal((2, 6, 6, 3)).astype(np.float32))
-    y = Tensor(rng.standard_normal((2, 3, 3, 5)).astype(np.float32))
-    w = Tensor(rng.standard_normal((2, 2, 3, 5)).astype(np.float32))
-    lhs = float((nn.conv2d(x, w, stride=2).data * y.data).sum())
-    rhs = float((x.data * nn.conv2d_transpose(y, w).data).sum())
-    assert abs(lhs - rhs) <= 1e-4 * max(1.0, abs(lhs))
+    with T.using_dtype(np.float64):
+        x = Tensor(rng.standard_normal((n, 2 * h, 2 * w, cin)))
+        y = Tensor(rng.standard_normal((n, h, w, cout)))
+        wt = Tensor(rng.standard_normal((2, 2, cin, cout)))
+        lhs = float((nn.conv2d(x, wt, stride=2).data * y.data).sum())
+        rhs = float((x.data * nn.conv2d_transpose(y, wt).data).sum())
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def test_transpose_gradcheck():
