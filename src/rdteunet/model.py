@@ -10,7 +10,10 @@ fusion. Ablation variants swap the stem (plain conv), the attention flavor
 
 from __future__ import annotations
 
+import ctypes
+import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -29,7 +32,8 @@ from .tensor import (
     Tensor,
     _json_object,
     _read_exact,
-    read_rdtf_record,
+    read_into,
+    read_rdtf_header,
     write_rdtf_record,
 )
 
@@ -249,58 +253,115 @@ def segmentation_loss(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # optimizer
 
+# elements per block of the optimizer's sweeps over the arena: small enough
+# that a block's operands stay in cache between its elementwise passes
+ARENA_BLOCK = 1 << 15
+
+
+def _blocks(n: int):
+    return ((lo, min(lo + ARENA_BLOCK, n)) for lo in range(0, n, ARENA_BLOCK))
+
+
 def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
-    Raises FloatingPointError, naming the first parameter whose gradient holds
-    a NaN or inf, before any gradient is scaled.
+    The squared norm is a sum of per-block dot products in the grad dtype,
+    added up in a Python float. Raises FloatingPointError, naming the first
+    parameter whose gradient holds a NaN or inf, before any gradient is
+    scaled.
     """
-    total = 0.0
-    for name, p in store.items():
-        sq = float((p.grad.astype(np.float64) ** 2).sum())
-        # sq also overflows for finite float64 grads above ~1e154
-        if not np.isfinite(sq) and not np.isfinite(p.grad).all():
-            raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
-        total += sq
-    norm = float(np.sqrt(total))
+    _, grads = store.arena()
+    blocks = [grads[lo:hi] for lo, hi in _blocks(grads.size)]
+    with np.errstate(over="ignore"):  # an overflowed block sum is handled below
+        norm = math.sqrt(sum(float(np.dot(b, b)) for b in blocks))
+    if not math.isfinite(norm):
+        for name, p in store.items():
+            if not np.isfinite(p.grad).all():
+                raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
+        # finite gradients whose squares overflow (float32 above ~1e19, float64
+        # above ~1e154): sum the squares of grad / max|grad| in float64
+        top = max(float(np.abs(b).max()) for b in blocks)
+        units = (b.astype(np.float64) / top for b in blocks)
+        norm = top * math.sqrt(sum(float(np.dot(u, u)) for u in units))
     if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for _, p in store.items():
-            p.grad *= scale
+        grads *= max_norm / norm
     return norm
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _retain_freed_heap() -> None:
+    """Keep the heap that one train step's tape frees for the next step.
+
+    By default glibc returns freed heap memory to the system, and the next
+    forward then faults every page of its activations back in (tens of
+    thousands of minor faults per `no_hvda` step). A 1 GiB trim threshold
+    keeps those pages; a fixed 32 MiB mmap threshold keeps glibc from moving
+    its threshold, so allocations up to that size come from the kept heap.
+    Does nothing where the C library has no `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 class Adam:
+    """Adam (Kingma & Ba, arXiv 1412.6980) over the store's parameter arena.
+
+    A step sweeps the flat value, grad and moment arrays in blocks of
+    ARENA_BLOCK elements, with the elementwise operations of a per-tensor
+    update in the same order, so it gives bit-equal values. The step reads
+    `self.store`'s arena each time: after a checkpoint round trip, pointing
+    `store` at the loaded model's store carries the moments over.
+    """
+
     def __init__(self, store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
+        _retain_freed_heap()
         self.store = store
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = {n: np.zeros_like(p.value.data) for n, p in store.items()}
-        self._v = {n: np.zeros_like(p.value.data) for n, p in store.items()}
+        values, _ = store.arena()
+        self._m = np.zeros_like(values)
+        self._v = np.zeros_like(values)
+        self._tmp = np.empty(min(ARENA_BLOCK, values.size), values.dtype)
 
     def step(self) -> None:
+        values, grads = self.store.arena()
+        if values.size != self._m.size:
+            raise ConfigError(f"store holds {values.size} parameter scalars, "
+                              f"the optimizer's moments {self._m.size}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        scale = self.lr / bc1
-        for name, p in self.store.items():
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
+        scale = self.lr / (1.0 - b1 ** self.t)
+        for lo, hi in _blocks(values.size):
+            g, m, v = grads[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            d = self._tmp[:hi - lo]
             m *= b1
-            m += (1 - b1) * g
+            np.multiply(g, 1 - b1, out=d)
+            m += d
             v *= b2
-            v += (1 - b2) * (g * g)
-            denom = np.sqrt(v / bc2)  # one temp, reused in place below
-            denom += self.eps
-            np.divide(m, denom, out=denom)
-            denom *= scale
-            p.value = Tensor(p.value.data - denom)
+            np.multiply(g, g, out=d)
+            d *= 1 - b2
+            v += d
+            np.divide(v, bc2, out=d)
+            np.sqrt(d, out=d)
+            d += self.eps
+            np.divide(m, d, out=d)
+            d *= scale
+            values[lo:hi] -= d
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +395,13 @@ def save_checkpoint(model: RdteUnet, path) -> None:
 
 
 def load_checkpoint(path) -> RdteUnet:
+    """Read a checkpoint written by `save_checkpoint`.
+
+    Every entry header is checked while scanning the file once; the config
+    and the entry names and shapes are checked next, and only then are the
+    payloads read, the parameters straight into a fresh value arena that the
+    model's store adopts.
+    """
     with open(path, "rb") as f:
         magic = _read_exact(f, 4)
         if magic != CKPT_MAGIC:
@@ -342,7 +410,7 @@ def load_checkpoint(path) -> RdteUnet:
         if version != 1:
             raise FormatError(f"unsupported checkpoint version {version}")
         (count,) = struct.unpack("<I", _read_exact(f, 4))
-        entries: dict[str, Tensor] = {}
+        entries: dict[str, tuple[tuple[int, ...], int]] = {}  # name -> (shape, payload offset)
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(f, 2))
             raw = _read_exact(f, nlen)
@@ -352,35 +420,48 @@ def load_checkpoint(path) -> RdteUnet:
                 raise FormatError(f"checkpoint entry name {raw!r} is not UTF-8") from e
             if name in entries:
                 raise FormatError(f"duplicate checkpoint entry {name!r}")
-            entries[name] = read_rdtf_record(f)
+            shape = read_rdtf_header(f)
+            entries[name] = (shape, f.tell())
+            f.seek(4 * math.prod(shape), io.SEEK_CUR)
         (jlen,) = struct.unpack("<I", _read_exact(f, 4))
         blob = _json_object(_read_exact(f, jlen), "checkpoint config")
         if f.read(1):
             raise FormatError("trailing bytes after checkpoint")
 
-    step = blob.pop("step", 0)
-    if type(step) is not int or step < 0:
-        raise FormatError(f"checkpoint step must be a non-negative int, got {step!r}")
-    try:
-        config = ModelConfig.from_dict(blob)
-    except ConfigError as e:
-        raise FormatError(f"checkpoint config: {e}") from e
-    model = RdteUnet(config)
-    store = model.store
-    param_names = set(store.names())
-    buffer_names = set(store.buffer_names())
-    for name, t in entries.items():
-        if name not in param_names and name not in buffer_names:
-            raise FormatError(f"checkpoint entry {name!r} not a model parameter")
-        want = (store.value(name) if name in param_names else store.buffer(name)).shape
-        if t.shape != want:
-            raise FormatError(f"checkpoint entry {name!r}: expected shape {want}, got {t.shape}")
-        if name in param_names:
-            store.set_value(name, t)
-        else:
-            store.buffer(name)[...] = t.data
-    missing = (param_names | buffer_names) - set(entries)
-    if missing:
-        raise FormatError(f"checkpoint missing parameters: {sorted(missing)[:5]}")
+        step = blob.pop("step", 0)
+        if type(step) is not int or step < 0:
+            raise FormatError(f"checkpoint step must be a non-negative int, got {step!r}")
+        try:
+            config = ModelConfig.from_dict(blob)
+        except ConfigError as e:
+            raise FormatError(f"checkpoint config: {e}") from e
+        model = RdteUnet(config)
+        store = model.store
+        param_names = set(store.names())
+        buffer_names = set(store.buffer_names())
+        for name, (shape, _) in entries.items():
+            if name not in param_names and name not in buffer_names:
+                raise FormatError(f"checkpoint entry {name!r} not a model parameter")
+            want = (store.value(name) if name in param_names else store.buffer(name)).shape
+            if shape != want:
+                raise FormatError(f"checkpoint entry {name!r}: expected shape {want}, got {shape}")
+        missing = (param_names | buffer_names) - set(entries)
+        if missing:
+            raise FormatError(f"checkpoint missing parameters: {sorted(missing)[:5]}")
+
+        values = np.empty(store.n_scalars(), dtype="<f4")
+        lo = 0
+        for name in store.names():
+            hi = lo + store.value(name).size
+            f.seek(entries[name][1])
+            read_into(f, values[lo:hi])
+            lo = hi
+        for name in store.buffer_names():
+            shape, offset = entries[name]
+            payload = np.empty(shape, dtype="<f4")
+            f.seek(offset)
+            read_into(f, payload)
+            store.buffer(name)[...] = payload
+    store.adopt(values.astype(store.dtype, copy=False))
     model.step = step
     return model

@@ -4,6 +4,14 @@ Layout is row-major with channels last: 4-D feature maps are
 (batch, height, width, channels). Tensors are immutable once constructed;
 producing new values means producing new Tensors. The element dtype is
 float32 by contract; a float64 switch exists to tighten gradient checks.
+
+One exception to immutability is the parameter arena. Once a ParamStore is
+packed (by the first optimizer-path call: `Adam(...)`, `clip_grad_norm` or
+`Adam.step`), every parameter value is a read-only Tensor view into one flat
+value arena, and every gradient a writable view into one flat grad arena.
+The optimizer is the single writer of the value arena and writes it only
+between steps, so a value read during a forward and backward stays fixed
+for that step. A caller that keeps a parameter value across a step copies it.
 """
 
 from __future__ import annotations
@@ -212,29 +220,49 @@ class Tape:
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> None:
         self._entries.append((out, inputs, backward))
 
-    def grad(self, loss: Tensor, wrt: Iterable[Tensor]) -> list[np.ndarray]:
+    def grad(self, loss: Tensor, wrt: Iterable[Tensor],
+             out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
         """Gradients of a scalar loss w.r.t. each tensor in `wrt`.
 
-        Tensors unreachable from the loss get zero gradients.
+        Tensors unreachable from the loss get zero gradients. With `out`, one
+        writable array per tensor of `wrt`, each gradient is accumulated in
+        its array during the sweep (the first contribution copied, later ones
+        added in place), and `out` is returned.
         """
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         wrt = list(wrt)
         keep = {id(t) for t in wrt}
+        slots = {} if out is None else {id(t): s for t, s in zip(wrt, out)}
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for out, inputs, backward in reversed(self._entries):
-            g = grads.get(id(out))
+        for entry_out, inputs, backward in reversed(self._entries):
+            g = grads.get(id(entry_out))
             if g is None:
                 continue
-            if id(out) not in keep:
-                del grads[id(out)]
+            if id(entry_out) not in keep:
+                del grads[id(entry_out)]
             in_grads = backward(g)
             for t, gt in zip(inputs, in_grads):
                 if gt is None:
                     continue
                 acc = grads.get(id(t))
-                grads[id(t)] = gt if acc is None else acc + gt
-        return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]
+                slot = slots.get(id(t))
+                if slot is None:
+                    grads[id(t)] = gt if acc is None else acc + gt
+                elif acc is None:
+                    np.copyto(slot, gt)
+                    grads[id(t)] = slot
+                else:
+                    slot += gt
+        if out is None:
+            return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]
+        for t, slot in zip(wrt, out):
+            g = grads.get(id(t))
+            if g is None:
+                slot.fill(0)
+            elif g is not slot:  # the loss itself, or a tensor listed twice in `wrt`
+                np.copyto(slot, g)
+        return list(out)
 
 
 def _rec(out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
@@ -258,17 +286,30 @@ class ParamStore:
 
     Buffers hold batch-norm running statistics; they are mutated in place
     by their owning layer (single writer) and checkpointed alongside params.
+
+    `arena()` packs the parameters into one flat value arena and one flat
+    grad arena of the store's dtype, in the order of `names()`; see the
+    module docstring for the contract. After packing, `set_value` still makes
+    the next forward read exactly the Tensor it was given; its data enters
+    the arena at the next `arena()` call.
     """
 
     def __init__(self):
+        self.dtype = default_dtype()
         self._params: dict[str, Param] = {}
         self._buffers: dict[str, np.ndarray] = {}
+        self._values: np.ndarray | None = None
+        self._grads: np.ndarray | None = None
+        # per param, in store order: (writable arena slot, read-only view Tensor)
+        self._slots: list[tuple[np.ndarray, Tensor]] = []
 
     def add(self, name: str, value: Tensor) -> Tensor:
         if not name:
             raise ConfigError("parameter name must be non-empty")
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
+        if self._values is not None:
+            raise ConfigError(f"cannot add parameter {name!r}: the store is packed")
         self._params[name] = Param(value, np.zeros_like(value.data))
         return value
 
@@ -294,7 +335,50 @@ class ParamStore:
                 f"param {name!r}: expected shape {p.value.shape}, got {value.shape}"
             )
         p.value = value
-        p.grad = np.zeros_like(value.data)
+        p.grad.fill(0)
+
+    def arena(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat value and grad arenas. The first call packs the store,
+        carrying over every value and gradient; later calls copy into the
+        arena each value that `set_value` replaced since."""
+        if self._values is None:
+            values = np.empty(self.n_scalars(), self.dtype)
+            grads = np.empty_like(values)
+            lo = 0
+            for p in self._params.values():
+                hi = lo + p.value.size
+                values[lo:hi] = p.value.data.reshape(-1)
+                grads[lo:hi] = p.grad.reshape(-1)
+                lo = hi
+            self._install(values, grads)
+        else:
+            for p, (slot, view) in zip(self._params.values(), self._slots):
+                if p.value is not view:
+                    np.copyto(slot, p.value.data)
+                    p.value = view
+        return self._values, self._grads
+
+    def adopt(self, values: np.ndarray) -> None:
+        """Make the flat array `values`, laid out in the order of `names()`,
+        the value arena without copying it. Every gradient restarts at zero."""
+        if values.shape != (self.n_scalars(),) or values.dtype != self.dtype:
+            raise ShapeError(f"arena of {values.shape} {values.dtype} for "
+                             f"{self.n_scalars()} {np.dtype(self.dtype)} scalars")
+        self._install(values, np.zeros_like(values))
+
+    def _install(self, values: np.ndarray, grads: np.ndarray) -> None:
+        self._values, self._grads, self._slots = values, grads, []
+        lo = 0
+        with using_dtype(self.dtype):  # so Tensor keeps the view, never a cast copy
+            for p in self._params.values():
+                shape, hi = p.value.shape, lo + p.value.size
+                slot = values[lo:hi].reshape(shape)
+                view = slot.view()
+                view.flags.writeable = False
+                p.value = Tensor(view)
+                p.grad = grads[lo:hi].reshape(shape)
+                self._slots.append((slot, p.value))
+                lo = hi
 
     def buffer(self, name: str) -> np.ndarray:
         return self._buffers[name]
@@ -313,11 +397,10 @@ class ParamStore:
 
 
 def backward(tape: Tape, loss: Tensor, params: ParamStore) -> None:
-    """Fill every param's grad with d(loss)/d(param); unreachable params get zeros."""
-    names = params.names()
-    grads = tape.grad(loss, [params.value(n) for n in names])
-    for name, g in zip(names, grads):
-        params[name].grad = np.ascontiguousarray(g)
+    """Write d(loss)/d(param) into every param's grad in place, during the
+    one reverse sweep; unreachable params get zeros."""
+    ps = [p for _, p in params.items()]
+    tape.grad(loss, [p.value for p in ps], out=[p.grad for p in ps])
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +734,12 @@ def write_rdtf_record(f, t: Tensor) -> None:
     f.write(struct.pack("<BBBB", 1, 0, len(shape), 0))
     for s in shape:
         f.write(struct.pack("<I", s))
-    f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    f.write(np.ascontiguousarray(t.data, dtype="<f4").data)
 
 
-def read_rdtf_record(f) -> Tensor:
+def read_rdtf_header(f) -> tuple[int, ...]:
+    """Read and check one RDTF header; return the shape. The payload of
+    4 * prod(shape) bytes that follows is known to fit in the stream."""
     magic = _read_exact(f, 4)
     if magic != RDTF_MAGIC:
         raise FormatError(f"bad magic {magic!r}")
@@ -676,9 +761,20 @@ def read_rdtf_record(f) -> Tensor:
     left = _bytes_left(f)
     if nbytes > left:
         raise TruncationError(f"shape {shape} needs {nbytes} bytes, {left} left")
-    raw = _read_exact(f, nbytes)
-    arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
-    return Tensor(arr.astype(default_dtype()))
+    return shape
+
+
+def read_into(f, arr: np.ndarray) -> None:
+    """Fill the C-contiguous array `arr` with the next arr.nbytes bytes of `f`."""
+    n = f.readinto(memoryview(arr).cast("B"))
+    if n != arr.nbytes:
+        raise TruncationError(f"expected {arr.nbytes} bytes, got {n}")
+
+
+def read_rdtf_record(f) -> Tensor:
+    arr = np.empty(read_rdtf_header(f), dtype="<f4")
+    read_into(f, arr)
+    return Tensor(arr)
 
 
 def write_rdtf(path, t: Tensor) -> None:

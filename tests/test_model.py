@@ -177,6 +177,127 @@ def test_clip_grad_norm_rejects_non_finite_grad(bad):
         assert np.array_equal(p.grad, grad, equal_nan=True)
 
 
+def _ragged_store(rng, scale=None):
+    """Three params over four arena blocks, the last one ragged."""
+    b = M.ARENA_BLOCK
+    store = T.ParamStore()
+    for name, shape in (("a", (b + 5,)), ("b", (2, b - 7)), ("c", (3, 41))):
+        store.add(name, T.zeros(shape))
+        store[name].grad[...] = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+                                 if scale is None else scale)
+    assert store.n_scalars() % b and store.n_scalars() > 3 * b
+    return store
+
+
+def _norm64(store):
+    return float(np.sqrt(sum((p.grad.astype(np.float64) ** 2).sum() for _, p in store.items())))
+
+
+def test_clip_grad_norm_matches_float64_oracle():
+    store = _ragged_store(np.random.default_rng(3))
+    want = _norm64(store)
+    before = {n: p.grad.astype(np.float64) for n, p in store.items()}
+    norm = M.clip_grad_norm(store, want / 2)
+    assert abs(norm - want) <= 1e-6 * want
+    assert abs(_norm64(store) - want / 2) <= 1e-6 * want
+    for name, p in store.items():
+        assert np.allclose(p.grad, before[name] * (want / 2 / norm), rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float32, 1e20), (np.float64, 1e160)])
+def test_clip_grad_norm_clips_finite_grads_whose_squares_overflow(dtype, big):
+    with T.using_dtype(dtype):
+        store = _ragged_store(np.random.default_rng(4), scale=big)
+    n = store.n_scalars()
+    norm = M.clip_grad_norm(store, 1.0)
+    assert abs(norm - big * np.sqrt(n)) <= 1e-6 * norm
+    for _, p in store.items():
+        assert np.allclose(p.grad, 1 / np.sqrt(n), rtol=1e-6, atol=0)
+
+
+class PerTensorAdam:
+    """The per-tensor Adam loop that the blocked arena update replaced; the
+    blocked one must match it bit for bit."""
+
+    def __init__(self, store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.store, self.lr, self.beta1, self.beta2, self.eps = store, lr, beta1, beta2, eps
+        self.t = 0
+        self._m = {n: np.zeros_like(p.value.data) for n, p in store.items()}
+        self._v = {n: np.zeros_like(p.value.data) for n, p in store.items()}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        scale = self.lr / bc1
+        for name, p in self.store.items():
+            g = p.grad
+            m = self._m[name]
+            v = self._v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            denom = np.sqrt(v / bc2)
+            denom += self.eps
+            np.divide(m, denom, out=denom)
+            denom *= scale
+            p.value = Tensor(p.value.data - denom)
+
+
+def _halve_head(model, opt, path):
+    model.store.set_value("head.w", Tensor(model.store.value("head.w").data * 0.5))
+    return model
+
+
+def _round_trip(model, opt, path):
+    M.save_checkpoint(model, path)
+    opt.store = None
+    del model
+    loaded = M.load_checkpoint(path)
+    opt.store = loaded.store
+    return loaded
+
+
+def _three_steps(make_opt, between, path):
+    model = M.RdteUnet(small_config(b=2, seed=4))
+    x = rx((2, 32, 32, 1), 5)
+    y = np.random.default_rng(6).integers(0, 3, size=(2, 32, 32))
+    opt = make_opt(model.store, lr=1e-2)
+    for step in range(3):
+        with Tape() as tape:
+            loss = M.segmentation_loss(model(x, training=True), y)
+            T.backward(tape, loss, model.store)
+        opt.step()
+        if step == 0:
+            model = between(model, opt, path)
+    return {n: p.value.data.copy() for n, p in model.store.items()}
+
+
+@pytest.mark.parametrize("between", [_halve_head, _round_trip])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_adam_equals_per_tensor_adam(dtype, between, tmp_path):
+    with T.using_dtype(dtype):
+        want = _three_steps(PerTensorAdam, between, tmp_path / "oracle.rdtc")
+        got = _three_steps(M.Adam, between, tmp_path / "arena.rdtc")
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == dtype
+        assert np.array_equal(got[name], want[name]), name
+
+
+def test_adam_refuses_a_store_of_another_size():
+    store = T.ParamStore()
+    store.add("w", T.zeros((3,)))
+    opt = M.Adam(store)
+    other = T.ParamStore()
+    other.add("w", T.zeros((4,)))
+    opt.store = other
+    with pytest.raises(ConfigError, match="moments"):
+        opt.step()
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 

@@ -242,6 +242,70 @@ def test_param_store_contracts():
 
 
 # ---------------------------------------------------------------------------
+# parameter arena
+
+def _two_param_store():
+    store = ParamStore()
+    store.add("w", t([1.0, -2.0, 0.5]))
+    store.add("unused", t([[5.0, 6.0], [7.0, 8.0]]))
+    return store
+
+
+def test_arena_accumulates_a_param_used_twice():
+    store = _two_param_store()
+    store.arena()
+    w = store.value("w")
+    with Tape() as tape:
+        loss = T.add(T.tsum(T.mul(w, t([3.0, 1.0, -1.0]))), T.tsum(T.tanh(T.mul(w, w))))
+        T.backward(tape, loss, store)
+        want = tape.grad(loss, [w])[0]
+    assert np.array_equal(store["w"].grad, want)
+    assert np.shares_memory(store["w"].grad, store.arena()[1])
+
+
+def test_arena_zeroes_an_unreached_slot():
+    store = _two_param_store()
+    _, grads = store.arena()
+    grads[...] = 9.0
+    with Tape() as tape:
+        T.backward(tape, T.tsum(store.value("w")), store)
+    assert np.array_equal(store["w"].grad, [1.0, 1.0, 1.0])
+    assert np.array_equal(store["unused"].grad, np.zeros((2, 2)))
+
+
+def test_arena_refuses_add_after_packing():
+    store = _two_param_store()
+    store.arena()
+    with pytest.raises(T.ConfigError, match="packed"):
+        store.add("late", t([1.0]))
+
+
+def test_arena_packing_keeps_grads_written_in_place():
+    store = _two_param_store()
+    store["w"].grad[...] = [1.0, 2.0, 3.0]
+    store["unused"].grad[1, 0] = -4.0
+    values, grads = store.arena()
+    assert np.array_equal(grads, [1.0, 2.0, 3.0, 0.0, 0.0, -4.0, 0.0])
+    assert np.array_equal(values, [1.0, -2.0, 0.5, 5.0, 6.0, 7.0, 8.0])
+    assert np.array_equal(store["unused"].grad, [[0.0, 0.0], [-4.0, 0.0]])
+    assert not store.value("w").data.flags.writeable
+
+
+def test_arena_set_value_leaves_held_values_alone():
+    store = _two_param_store()
+    values, _ = store.arena()
+    held = store.value("w")
+    new = t([4.0, 4.0, 4.0])
+    store.set_value("w", new)
+    assert np.array_equal(held.data, [1.0, -2.0, 0.5])
+    assert store.value("w") is new  # the next forward reads exactly this Tensor
+    assert np.array_equal(values[:3], [1.0, -2.0, 0.5])
+    store.arena()  # the optimizer path takes the new value into the arena
+    assert np.array_equal(values[:3], [4.0, 4.0, 4.0])
+    assert np.shares_memory(store.value("w").data, values)
+
+
+# ---------------------------------------------------------------------------
 # gradcheck
 
 def test_gradcheck_linear_exact():
