@@ -145,7 +145,7 @@ class AsbeStem:
     1x1 output conv. Spatial dims are preserved."""
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 cin: int, c_stem: int = 16, c_mid: int = 8):
+                 cin: int, c_stem: int, c_mid: int):
         self.compress = nn.Conv2d(store, f"{prefix}.compress", rng, cin, c_mid, 1, pad="valid")
         self.arconv = ArConv(store, f"{prefix}.arconv", rng, c_mid)
         self.out = nn.Conv2d(store, f"{prefix}.out", rng, 2 * c_mid, c_stem, 1, pad="valid")

@@ -121,14 +121,11 @@ def check_batch_norm(tol):
     probe = _rx((2, 3, 3, 2), 17)
     gamma, beta = _rx((2,), 18), _rx((2,), 19)
 
-    def make_state():
-        return nn.NormState(gamma, beta, np.zeros(2), np.ones(2))
+    def bn(v, g):
+        return nn.batch_norm(v, g, beta, np.zeros(2), np.ones(2), True)
 
-    r1 = gradcheck(lambda v: _probe_loss(nn.batch_norm(v, make_state(), True), probe),
-                   x, EPS, tol)
-    r2 = gradcheck(lambda v: _probe_loss(
-        nn.batch_norm(x, nn.NormState(v, beta, np.zeros(2), np.ones(2)), True), probe),
-        gamma, EPS, tol)
+    r1 = gradcheck(lambda v: _probe_loss(bn(v, gamma), probe), x, EPS, tol)
+    r2 = gradcheck(lambda v: _probe_loss(bn(x, v), probe), gamma, EPS, tol)
     return [r1, r2]
 
 

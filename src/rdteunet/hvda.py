@@ -23,16 +23,17 @@ HW_CAP = 4096  # most positions an attention map may span (a 64x64 map)
 
 
 class HvdaBranch:
-    """StairConv detail extractor producing one fused c-channel map."""
+    """StairConv detail extractor producing one fused c-channel map.
+    `reduce` and `deep` have no bias: the BN after each would cancel it."""
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
         self.stair_h = StairConv(store, f"{prefix}.stair_h", rng, HORIZONTAL, c, c)
         self.stair_v = StairConv(store, f"{prefix}.stair_v", rng, VERTICAL, c, c)
         self.reduce = nn.Conv2d(store, f"{prefix}.reduce", rng, 2 * c, c, 1, pad="valid",
-                                init_gain=2.0)
+                                bias=False, init_gain=2.0)
         self.bn_reduce = nn.BatchNorm(store, f"{prefix}.bn_reduce", c)
         self.deep = nn.Conv2d(store, f"{prefix}.deep", rng, c, c, 3, pad="same",
-                              init_gain=2.0)
+                              bias=False, init_gain=2.0)
         self.bn_deep = nn.BatchNorm(store, f"{prefix}.bn_deep", c)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
@@ -62,7 +63,8 @@ def attention_from_qkv(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 class HvdaAttention:
     """Spatial self-attention with detail-branch Q/K/V (or plain GSA-style
     projections when `detail=False`, the ablation substitute). The output
-    carries no residual; the enclosing block adds it."""
+    carries no residual; the enclosing block adds it. `proj_k` has no bias:
+    q_i * b is constant along softmax row i, so the softmax would cancel it."""
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
                  c: int, detail: bool = True):
@@ -73,7 +75,8 @@ class HvdaAttention:
             self.branch_k = HvdaBranch(store, f"{prefix}.branch_k", rng, c)
             self.branch_v = HvdaBranch(store, f"{prefix}.branch_v", rng, c)
         self.proj_q = nn.Conv2d(store, f"{prefix}.proj_q", rng, c, 1, 1, pad="valid")
-        self.proj_k = nn.Conv2d(store, f"{prefix}.proj_k", rng, c, 1, 1, pad="valid")
+        self.proj_k = nn.Conv2d(store, f"{prefix}.proj_k", rng, c, 1, 1, pad="valid",
+                                bias=False)
         self.proj_v = nn.Conv2d(store, f"{prefix}.proj_v", rng, c, c, 1, pad="valid")
         self.proj_out = nn.Conv2d(store, f"{prefix}.proj_out", rng, c, c, 1, pad="valid")
 

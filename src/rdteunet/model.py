@@ -155,8 +155,7 @@ class RdteUnet:
 
     # ------------------------------------------------------------------
 
-    def forward(self, x: Tensor, training: bool = False,
-                taps: dict | None = None) -> Tensor:
+    def forward(self, x: Tensor, training: bool = False) -> Tensor:
         cfg = self.config
         expected = (cfg.h, cfg.w, cfg.in_channels)
         if x.data.ndim != 4 or x.shape[1:] != expected:
@@ -169,17 +168,11 @@ class RdteUnet:
             blk = self.enc_blocks[i]
             cur = blk(cur, training)
             skips.append(cur)
-            if taps is not None:
-                taps[f"skip{i + 1}"] = cur.shape
             cur = self.down[i](cur)
-            if taps is not None:
-                taps[f"enc{i + 1}"] = cur.shape
         for j, i in enumerate(range(5, 0, -1)):
             cur = self.up[j](cur)
             cur = self.fuse[j](skips[i - 1], cur)
             cur = self.dec_blocks[j](cur, training)
-            if taps is not None:
-                taps[f"dec{i}"] = cur.shape
         return self.head(self.final_norm(cur))
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
@@ -227,7 +220,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _nll_mean(T.log_softmax_channels(logits), ids)
 
 
-def soft_dice_loss(logits: Tensor, labels, eps: float = 1e-5) -> Tensor:
+DICE_EPS = 1e-5  # smoothing term of the soft Dice ratio
+
+
+def soft_dice_loss(logits: Tensor, labels) -> Tensor:
     """1 - mean soft Dice over foreground classes (background excluded)."""
     k = logits.shape[-1]
     ids = _label_array(labels, k)
@@ -239,7 +235,7 @@ def soft_dice_loss(logits: Tensor, labels, eps: float = 1e-5) -> Tensor:
     inter = T.sum_axes(T.mul(probs, g), axes)
     psum = T.sum_axes(probs, axes)
     gsum = Tensor(onehot.sum(axis=axes))
-    dice = T.div(inter * 2.0 + eps, T.add(psum, gsum) + eps)
+    dice = T.div(inter * 2.0 + DICE_EPS, T.add(psum, gsum) + DICE_EPS)
     fg = T.take_channels(dice, list(range(1, k)))
     mean_dice = T.tsum(fg) * (1.0 / (k - 1))
     return 1.0 - mean_dice
@@ -266,10 +262,12 @@ def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
     The squared norm is a sum of per-block dot products in the grad dtype,
-    added up in a Python float. Raises FloatingPointError, naming the first
-    parameter whose gradient holds a NaN or inf, before any gradient is
-    scaled.
+    added up in a Python float. Raises ConfigError unless max_norm > 0 (a NaN
+    included), and FloatingPointError, naming the first parameter whose
+    gradient holds a NaN or inf; both before any gradient is scaled.
     """
+    if not max_norm > 0:
+        raise ConfigError(f"max_norm must be > 0, got {max_norm}")
     _, grads = store.arena()
     blocks = [grads[lo:hi] for lo, hi in _blocks(grads.size)]
     with np.errstate(over="ignore"):  # an overflowed block sum is handled below
@@ -313,8 +311,12 @@ def _retain_freed_heap() -> None:
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    """Adam (Kingma & Ba, arXiv 1412.6980) over the store's parameter arena.
+    """Adam (Kingma & Ba, arXiv 1412.6980) over the store's parameter arena,
+    at the paper's default betas and eps.
 
     A step sweeps the flat value, grad and moment arrays in blocks of
     ARENA_BLOCK elements, with the elementwise operations of a per-tensor
@@ -323,14 +325,10 @@ class Adam:
     `store` at the loaded model's store carries the moments over.
     """
 
-    def __init__(self, store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ParamStore, lr: float = 1e-3):
         _retain_freed_heap()
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         values, _ = store.arena()
         self._m = np.zeros_like(values)
@@ -343,7 +341,7 @@ class Adam:
             raise ConfigError(f"store holds {values.size} parameter scalars, "
                               f"the optimizer's moments {self._m.size}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc2 = 1.0 - b2 ** self.t
         scale = self.lr / (1.0 - b1 ** self.t)
         for lo, hi in _blocks(values.size):
@@ -358,7 +356,7 @@ class Adam:
             v += d
             np.divide(v, bc2, out=d)
             np.sqrt(d, out=d)
-            d += self.eps
+            d += ADAM_EPS
             np.divide(m, d, out=d)
             d *= scale
             values[lo:hi] -= d

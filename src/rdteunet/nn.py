@@ -5,14 +5,16 @@ ones-kernel convolution) and the channel MLP (two 1x1 convolutions) run
 through the same conv2d; the transposed convolution is the adjoint of the
 2x2 stride-2 conv2d, computed on that conv's kernel taps.
 
+Both norms run one standardize op, forward and backward: batch norm over
+(N, H, W) per channel, layer norm over the channels at each position. Batch
+norm adds only its running statistics and their eval-mode path.
+
 Feature maps are NHWC; conv weights are (kh, kw, cin/groups, cout);
 convolution is cross-correlation (no kernel flip), summed over kernel taps
 with implicit padding, so it costs only the products that touch real pixels.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .tensor import (
 )
 
 
-def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, gain: float = 2.0) -> Tensor:
+def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, gain: float) -> Tensor:
     """Fan-in uniform init with selectable variance gain.
 
     gain=2 is the ReLU-calibrated setting for layers a norm follows anyway;
@@ -190,7 +192,7 @@ def _window_counts(size: int, p: int) -> np.ndarray:
     return np.minimum(i + p, size - 1) - np.maximum(i - p, 0) + 1
 
 
-def avg_pool(x: Tensor, k: int = 3) -> Tensor:
+def avg_pool(x: Tensor, k: int) -> Tensor:
     """Stride-1 same-size average pooling: a depthwise ones-kernel conv2d times
     1/(window pixel count), so border windows divide by the true pixel count."""
     if k % 2 == 0:
@@ -207,61 +209,55 @@ def avg_pool(x: Tensor, k: int = 3) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
-@dataclass
-class NormState:
-    """Affine + (for batch norm) running statistics of one normalization layer."""
-    gamma: Tensor
-    beta: Tensor
-    running_mean: np.ndarray | None = None
-    running_var: np.ndarray | None = None
-    eps: float = 1e-5
-    momentum: float = 0.1
+NORM_EPS = 1e-5
+BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-estimate update
 
 
-def batch_norm(x: Tensor, state: NormState, training: bool) -> Tensor:
+def _standardize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...]):
+    """gamma * (x - mean) / sqrt(var + NORM_EPS) + beta, with mean and variance
+    over `axes` and the affine per channel; also returns the mean and variance."""
+    c = x.shape[-1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"norm affine shape mismatch for {c} channels")
+    mean = x.data.mean(axis=axes, keepdims=True)
+    var = x.data.var(axis=axes, keepdims=True)
+    ivar = 1.0 / np.sqrt(var + x.data.dtype.type(NORM_EPS))
+    xh = (x.data - mean) * ivar
+    out = Tensor(gamma.data * xh + beta.data)
+    param_axes = tuple(range(x.data.ndim - 1))
+
+    def bw(g):
+        dxh = g * gamma.data
+        m1 = dxh.mean(axis=axes, keepdims=True)
+        m2 = (dxh * xh).mean(axis=axes, keepdims=True)
+        dx = ivar * (dxh - m1 - xh * m2)
+        return dx, (g * xh).sum(axis=param_axes), g.sum(axis=param_axes)
+
+    return _rec(out, (x, gamma, beta), bw), mean, var
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+               running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel batch norm over (N, H, W).
 
-    Training mode normalizes by batch statistics and folds them into the
+    Training mode standardizes by batch statistics and folds them into the
     running estimates in place; eval mode uses the running estimates.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm expects NHWC input, got {x.shape}")
-    c = x.shape[-1]
-    if state.gamma.shape != (c,) or state.beta.shape != (c,):
-        raise ShapeError(f"norm affine shape mismatch for {c} channels")
-    gamma, beta = state.gamma, state.beta
-    eps = x.data.dtype.type(state.eps)
-
     if training:
-        m_count = x.shape[0] * x.shape[1] * x.shape[2]
-        if m_count == 1:
+        if x.shape[0] * x.shape[1] * x.shape[2] == 1:
             raise ShapeError("batch statistics undefined for a single element (N*H*W == 1)")
-        mean = x.data.mean(axis=(0, 1, 2))
-        var = x.data.var(axis=(0, 1, 2))
-        if state.running_mean is not None:
-            mom = state.momentum
-            state.running_mean[...] = (1 - mom) * state.running_mean + mom * mean
-            state.running_var[...] = (1 - mom) * state.running_var + mom * var
-        ivar = 1.0 / np.sqrt(var + eps)
-        xh = (x.data - mean) * ivar
-        y = gamma.data * xh + beta.data
-        out = Tensor(y)
+        out, mean, var = _standardize(x, gamma, beta, (0, 1, 2))
+        running_mean[...] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean[0, 0, 0]
+        running_var[...] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var[0, 0, 0]
+        return out
 
-        def bw(g):
-            dgamma = (g * xh).sum(axis=(0, 1, 2))
-            dbeta = g.sum(axis=(0, 1, 2))
-            dxh = g * gamma.data
-            m1 = dxh.mean(axis=(0, 1, 2))
-            m2 = (dxh * xh).mean(axis=(0, 1, 2))
-            dx = ivar * (dxh - m1 - xh * m2)
-            return dx, dgamma, dbeta
-
-        return _rec(out, (x, gamma, beta), bw)
-
-    if state.running_mean is None or state.running_var is None:
-        raise ConfigError("eval-mode batch_norm needs running statistics")
-    ivar = 1.0 / np.sqrt(state.running_var + eps)
-    xh = (x.data - state.running_mean) * ivar
+    c = x.shape[-1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"norm affine shape mismatch for {c} channels")
+    ivar = 1.0 / np.sqrt(running_var + x.data.dtype.type(NORM_EPS))
+    xh = (x.data - running_mean) * ivar
     out = Tensor(gamma.data * xh + beta.data)
 
     def bw_eval(g):
@@ -270,29 +266,9 @@ def batch_norm(x: Tensor, state: NormState, training: bool) -> Tensor:
     return _rec(out, (x, gamma, beta), bw_eval)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the channel axis at each spatial position, then affine."""
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"layer_norm affine shape mismatch for {c} channels")
-    epsv = x.data.dtype.type(eps)
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + epsv)
-    xh = (x.data - mean) * ivar
-    out = Tensor(gamma.data * xh + beta.data)
-    reduce_axes = tuple(range(x.data.ndim - 1))
-
-    def bw(g):
-        dgamma = (g * xh).sum(axis=reduce_axes)
-        dbeta = g.sum(axis=reduce_axes)
-        dxh = g * gamma.data
-        m1 = dxh.mean(axis=-1, keepdims=True)
-        m2 = (dxh * xh).mean(axis=-1, keepdims=True)
-        dx = ivar * (dxh - m1 - xh * m2)
-        return dx, dgamma, dbeta
-
-    return _rec(out, (x, gamma, beta), bw)
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Standardize the channel axis at each spatial position, then affine."""
+    return _standardize(x, gamma, beta, (-1,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +322,30 @@ class ConvTranspose2x2:
 
 
 class BatchNorm:
-    """Batch norm at NormState's default eps and momentum."""
+    """Batch norm whose affine lives in a ParamStore and running statistics
+    in its buffers."""
 
     def __init__(self, store: ParamStore, prefix: str, c: int):
         self.g_name = f"{prefix}.gamma"
         self.b_name = f"{prefix}.beta"
-        store.add(self.g_name, tensor_ones(c))
+        store.add(self.g_name, T.tensor_new((c,), 1.0))
         store.add(self.b_name, T.zeros((c,)))
         self.rm = store.add_buffer(f"{prefix}.running_mean", np.zeros(c))
         self.rv = store.add_buffer(f"{prefix}.running_var", np.ones(c))
         self.store = store
 
-    def state(self) -> NormState:
-        return NormState(self.store.value(self.g_name), self.store.value(self.b_name),
-                         self.rm, self.rv)
-
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return batch_norm(x, self.state(), training)
+        return batch_norm(x, self.store.value(self.g_name), self.store.value(self.b_name),
+                          self.rm, self.rv, training)
 
 
 class LayerNorm:
-    """Layer norm at layer_norm's default eps."""
+    """Layer norm whose affine lives in a ParamStore."""
 
     def __init__(self, store: ParamStore, prefix: str, c: int):
         self.g_name = f"{prefix}.gamma"
         self.b_name = f"{prefix}.beta"
-        store.add(self.g_name, tensor_ones(c))
+        store.add(self.g_name, T.tensor_new((c,), 1.0))
         store.add(self.b_name, T.zeros((c,)))
         self.store = store
 
@@ -392,18 +366,15 @@ class Mlp:
 
 class ResBlock:
     """Two same-pad 3x3 convs with BN/ReLU and an identity shortcut:
-    y = ReLU(BN(conv(ReLU(BN(conv(x))))) + x); channels preserved."""
+    y = ReLU(BN(conv(ReLU(BN(conv(x))))) + x); channels preserved.
+    The convs have no bias: the BN's mean subtraction would cancel it."""
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
-        self.conv1 = Conv2d(store, f"{prefix}.conv1", rng, c, c, 3, init_gain=2.0)
+        self.conv1 = Conv2d(store, f"{prefix}.conv1", rng, c, c, 3, bias=False, init_gain=2.0)
         self.bn1 = BatchNorm(store, f"{prefix}.bn1", c)
-        self.conv2 = Conv2d(store, f"{prefix}.conv2", rng, c, c, 3, init_gain=2.0)
+        self.conv2 = Conv2d(store, f"{prefix}.conv2", rng, c, c, 3, bias=False, init_gain=2.0)
         self.bn2 = BatchNorm(store, f"{prefix}.bn2", c)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         h = relu(self.bn1(self.conv1(x), training))
         return relu(add(self.bn2(self.conv2(h), training), x))
-
-
-def tensor_ones(c: int) -> Tensor:
-    return Tensor(np.ones(c, dtype=T.default_dtype()))

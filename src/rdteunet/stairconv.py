@@ -50,7 +50,7 @@ class StairConv:
     concat to cout.
 
     Each branch is an nn.Conv2d layer whose `pad` is set at construction to
-    its stair_pads extents.
+    its stair_pads extents. No conv has a bias: the BN after it would cancel it.
     """
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
@@ -66,10 +66,11 @@ class StairConv:
             for side in _SIDES[axis]:
                 name = f"{prefix}.b{level}_{side}"
                 conv = nn.Conv2d(store, f"{name}.conv", rng, cin, cb, level * k,
-                                 pad=stair_pads(axis, level, side, k), init_gain=2.0)
+                                 pad=stair_pads(axis, level, side, k), bias=False,
+                                 init_gain=2.0)
                 self.branches.append((conv, nn.BatchNorm(store, f"{name}.bn", cb)))
         self.fuse_conv = nn.Conv2d(store, f"{prefix}.fuse.conv", rng, 4 * cb, cout,
-                                   2, pad="valid", init_gain=2.0)
+                                   2, pad="valid", bias=False, init_gain=2.0)
         self.fuse_bn = nn.BatchNorm(store, f"{prefix}.fuse.bn", cout)
 
     def branch_features(self, x: Tensor, training: bool) -> Tensor:

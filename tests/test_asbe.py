@@ -73,7 +73,7 @@ def test_arconv_sizes_within_bounds():
 
 def make_stem(cin=1, c_stem=16, seed=20):
     store = ParamStore()
-    stem = ab.AsbeStem(store, "stem", np.random.default_rng(seed), cin, c_stem=c_stem)
+    stem = ab.AsbeStem(store, "stem", np.random.default_rng(seed), cin, c_stem=c_stem, c_mid=8)
     return stem, store
 
 

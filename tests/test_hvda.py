@@ -120,8 +120,7 @@ def test_attention_map_rows_on_module_pipeline():
 def test_attention_uniform_limit_through_op():
     attn, store = make_attn(c=3, seed=23)
     # zero Q/K projections -> uniform B; identity out-projection exposes the mean
-    for name in ("at.proj_q.w", "at.proj_q.b", "at.proj_k.w", "at.proj_k.b",
-                 "at.proj_out.b"):
+    for name in ("at.proj_q.w", "at.proj_q.b", "at.proj_k.w", "at.proj_out.b"):
         store.set_value(name, T.zeros(store.value(name).shape))
     store.set_value("at.proj_out.w", Tensor(np.eye(3, dtype=np.float32).reshape(1, 1, 3, 3)))
     x = rx((1, 3, 3, 3), 24)

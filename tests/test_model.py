@@ -54,13 +54,28 @@ def test_stage_widths_double():
 # ---------------------------------------------------------------------------
 # structure
 
+def _record_shapes(layers, key, taps):
+    """Wrap each callable of `layers` in place so it records its output shape
+    in taps[key(i)]."""
+    for i, layer in enumerate(layers):
+        def wrapped(*args, _layer=layer, _name=key(i)):
+            out = _layer(*args)
+            taps[_name] = out.shape
+            return out
+        layers[i] = wrapped
+
+
 @pytest.mark.parametrize("variant", M.VARIANTS)
 def test_shape_ladder_all_variants(variant):
     cfg = small_config(variant=variant, b=2, hw=32)
     model = M.RdteUnet(cfg)
     taps = {}
-    y = model.forward(rx((1, 32, 32, 1), 1), training=False, taps=taps)
+    _record_shapes(model.enc_blocks, lambda i: f"skip{i + 1}", taps)
+    _record_shapes(model.down, lambda i: f"enc{i + 1}", taps)
+    _record_shapes(model.dec_blocks, lambda j: f"dec{5 - j}", taps)
+    y = model(rx((1, 32, 32, 1), 1), training=False)
     assert y.shape == (1, 32, 32, 3)
+    assert len(taps) == 15
     for i in range(1, 6):
         assert taps[f"enc{i}"] == (1, 32 >> i, 32 >> i, 2 << i)
         assert taps[f"skip{i}"] == (1, 32 >> (i - 1), 32 >> (i - 1), 2 << (i - 1))
@@ -103,6 +118,30 @@ def test_variants_share_interface():
     for variant in M.VARIANTS:
         model = M.RdteUnet(small_config(variant, seed=9))
         assert model(x).shape == (1, 32, 32, 3)
+
+
+# residual-terminal tensors that RdteUnet starts at zero
+ZERO_INIT_SUFFIXES = (".attn.proj_out.w", ".mlp.fc2.w", ".block.bn2.gamma")
+# in this float64 config a bias that a norm or softmax cancels gets a largest
+# |grad| of at most 2.4e-15, every other tensor at least 4.5e-4
+REACH_FLOOR = 1e-9
+
+
+@pytest.mark.parametrize("variant", ["full", "no_hvda"])
+def test_every_parameter_reaches_the_loss(variant):
+    with T.using_dtype(np.float64):
+        model = M.RdteUnet(small_config(variant, b=2, hw=32, classes=4))
+        rng = np.random.default_rng(1)
+        for name in model.store.names():
+            if name.endswith(ZERO_INIT_SUFFIXES):
+                shape = model.store.value(name).shape
+                model.store.set_value(name, Tensor(0.1 * rng.standard_normal(shape)))
+        labels = rng.integers(0, 4, size=(2, 32, 32))
+        with Tape() as tape:
+            loss = M.segmentation_loss(model(rx((2, 32, 32, 1), 2), training=True), labels)
+        T.backward(tape, loss, model.store)
+    dead = [n for n, p in model.store.items() if not np.abs(p.grad).max() > REACH_FLOOR]
+    assert not dead, f"{len(dead)} parameter tensors never reach the loss: {dead[:8]}"
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +197,16 @@ def test_adam_descends_quadratic():
             T.backward(tape, loss, store)
         opt.step()
     assert np.allclose(store.value("w").data, target, atol=1e-2)
+
+
+@pytest.mark.parametrize("max_norm", [-1.0, 0.0, np.nan])
+def test_clip_grad_norm_rejects_non_positive_max_norm(max_norm):
+    store = T.ParamStore()
+    store.add("a", Tensor(np.full(3, 2.0, dtype=np.float32)))
+    store["a"].grad[...] = [5.0, -3.0, 0.5]
+    with pytest.raises(ConfigError, match="max_norm"):
+        M.clip_grad_norm(store, max_norm)
+    assert np.array_equal(store["a"].grad, np.float32([5.0, -3.0, 0.5]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -219,15 +268,15 @@ class PerTensorAdam:
     """The per-tensor Adam loop that the blocked arena update replaced; the
     blocked one must match it bit for bit."""
 
-    def __init__(self, store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.store, self.lr, self.beta1, self.beta2, self.eps = store, lr, beta1, beta2, eps
+    def __init__(self, store, lr=1e-3):
+        self.store, self.lr = store, lr
         self.t = 0
         self._m = {n: np.zeros_like(p.value.data) for n, p in store.items()}
         self._v = {n: np.zeros_like(p.value.data) for n, p in store.items()}
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         scale = self.lr / bc1
@@ -240,7 +289,7 @@ class PerTensorAdam:
             v *= b2
             v += (1 - b2) * (g * g)
             denom = np.sqrt(v / bc2)
-            denom += self.eps
+            denom += 1e-8
             np.divide(m, denom, out=denom)
             denom *= scale
             p.value = Tensor(p.value.data - denom)

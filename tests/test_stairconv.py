@@ -127,7 +127,6 @@ def test_branch_mirror_equivariance():
         store2.set_value(f"{right}.conv.w", Tensor(np.ascontiguousarray(wl[:, ::-1])))
         store2.set_value(f"{left}.conv.w", Tensor(np.ascontiguousarray(wr[:, ::-1])))
         for side_src, side_dst in ((right, left), (left, right)):
-            store2.set_value(f"{side_dst}.conv.b", store.value(f"{side_src}.conv.b"))
             store2.set_value(f"{side_dst}.bn.gamma", store.value(f"{side_src}.bn.gamma"))
             store2.set_value(f"{side_dst}.bn.beta", store.value(f"{side_src}.bn.beta"))
 
