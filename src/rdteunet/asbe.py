@@ -126,7 +126,7 @@ class ArConv:
         self.b_name = f"{prefix}.b"
         store.add(self.w_name,
                   nn.kaiming_uniform(rng, (GRID, GRID, c, c), GRID * GRID * c, gain=1.0))
-        store.add(self.b_name, T.zeros((c,)))
+        store.add(self.b_name, T.Fill((c,), 0.0))
         self.store = store
 
     def predicted_sizes(self, x: Tensor) -> Tensor:

@@ -42,8 +42,11 @@ class EulerStream:
                       VERTICAL: mk("group_v", 3, 1, 2 * c, c, groups=c)}
         self.chan = mk("chan", 1, 1, c, c)
         self.fuse = mk("fuse", 1, 1, 4 * c, c)
-        # pair real/imaginary channels: (re_0, im_0, re_1, im_1, ...)
-        self.interleave = [j // 2 + (j % 2) * c for j in range(2 * c)]
+
+    @property
+    def interleave(self) -> np.ndarray:
+        """Channel order pairing real/imaginary channels: (re_0, im_0, re_1, im_1, ...)."""
+        return np.arange(2 * self.c).reshape(2, self.c).T.reshape(-1)
 
     def amplitude(self, x: Tensor, axis: str) -> Tensor:
         return T.softplus(self.amp[axis](x))

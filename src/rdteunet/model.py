@@ -147,11 +147,12 @@ class RdteUnet:
 
         # residual-terminal layers start at zero so every block opens as an
         # identity map; with Kaiming everywhere the ten-block residual chain
-        # multiplies activation variance until the loss diverges at this depth
+        # multiplies activation variance until the loss diverges at this depth;
+        # their draws were taken from rng all the same, so later layers' are unmoved
         for name in self.store.names():
             if name.endswith(".attn.proj_out.w") or name.endswith(".mlp.fc2.w") \
                     or name.endswith(".block.bn2.gamma"):
-                self.store.set_value(name, T.zeros(self.store.value(name).shape))
+                self.store.set_value(name, T.Fill(self.store.shape(name), 0.0))
 
     # ------------------------------------------------------------------
 
@@ -395,10 +396,14 @@ def save_checkpoint(model: RdteUnet, path) -> None:
 def load_checkpoint(path) -> RdteUnet:
     """Read a checkpoint written by `save_checkpoint`.
 
-    Every entry header is checked while scanning the file once; the config
-    and the entry names and shapes are checked next, and only then are the
-    payloads read, the parameters straight into a fresh value arena that the
-    model's store adopts.
+    Every entry header is checked while scanning the file once, against the
+    bytes left in it. The config is checked next, and the model built from it
+    only declares its parameters and buffers, so it holds shapes and
+    allocates nothing that scales with the config. Every entry's name and
+    shape is checked against those; only then are the payloads read: the
+    parameters straight into one fresh value arena that the model's store
+    adopts, so no initial value is computed, and the batch-norm running
+    statistics straight into the store's buffers.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, 4)
@@ -435,31 +440,29 @@ def load_checkpoint(path) -> RdteUnet:
             raise FormatError(f"checkpoint config: {e}") from e
         model = RdteUnet(config)
         store = model.store
-        param_names = set(store.names())
-        buffer_names = set(store.buffer_names())
+        params, buffers = store.names(), store.buffer_names()
+        known = set(params) | set(buffers)
         for name, (shape, _) in entries.items():
-            if name not in param_names and name not in buffer_names:
+            if name not in known:
                 raise FormatError(f"checkpoint entry {name!r} not a model parameter")
-            want = (store.value(name) if name in param_names else store.buffer(name)).shape
-            if shape != want:
-                raise FormatError(f"checkpoint entry {name!r}: expected shape {want}, got {shape}")
-        missing = (param_names | buffer_names) - set(entries)
+            if shape != store.shape(name):
+                raise FormatError(f"checkpoint entry {name!r}: expected shape "
+                                  f"{store.shape(name)}, got {shape}")
+        missing = known - set(entries)
         if missing:
             raise FormatError(f"checkpoint missing parameters: {sorted(missing)[:5]}")
 
-        values = np.empty(store.n_scalars(), dtype="<f4")
+        values = np.empty(store.n_scalars(), dtype=store.dtype)
         lo = 0
-        for name in store.names():
-            hi = lo + store.value(name).size
-            f.seek(entries[name][1])
+        for name in params:
+            shape, offset = entries[name]
+            hi = lo + math.prod(shape)
+            f.seek(offset)
             read_into(f, values[lo:hi])
             lo = hi
-        for name in store.buffer_names():
-            shape, offset = entries[name]
-            payload = np.empty(shape, dtype="<f4")
-            f.seek(offset)
-            read_into(f, payload)
-            store.buffer(name)[...] = payload
-    store.adopt(values.astype(store.dtype, copy=False))
+        for name in buffers:
+            f.seek(entries[name][1])
+            read_into(f, store.buffer(name))
+    store.adopt(values)
     model.step = step
     return model

@@ -16,6 +16,8 @@ with implicit padding, so it costs only the products that touch real pixels.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -32,15 +34,42 @@ from .tensor import (
 )
 
 
-def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, gain: float) -> Tensor:
-    """Fan-in uniform init with selectable variance gain.
+class UniformDraw:
+    """Deferred U(-bound, bound) values of `shape`: built with the caller's
+    generator, drawn when `write` casts them into a parameter slot.
+
+    Construction saves the generator's state and moves the generator past the
+    draw (PCG64 spends one 64-bit output per uniform double), so the values
+    and the caller's later draws equal those of drawing at once.
+    """
+
+    def __init__(self, rng: np.random.Generator, shape, bound: float):
+        bg = rng.bit_generator
+        if not isinstance(bg, np.random.PCG64):
+            raise ConfigError(f"deferred draws need a PCG64 generator, got {type(bg).__name__}")
+        self.shape = tuple(shape)
+        self.bound = bound
+        self.state = bg.state
+        bg.advance(math.prod(self.shape))
+        if self.state["has_uint32"]:  # advance drops the buffered 32-bit half a draw keeps
+            moved = bg.state
+            moved.update(has_uint32=1, uinteger=self.state["uinteger"])
+            bg.state = moved
+
+    def write(self, out: np.ndarray) -> None:
+        bg = np.random.PCG64(0)
+        bg.state = self.state
+        out[...] = np.random.Generator(bg).uniform(-self.bound, self.bound, size=self.shape)
+
+
+def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, gain: float) -> UniformDraw:
+    """Fan-in uniform init with selectable variance gain, as a deferred draw.
 
     gain=2 is the ReLU-calibrated setting for layers a norm follows anyway;
     norm-free layers use gain=1 so the unnormalized conv chain neither
     explodes nor collapses with depth.
     """
-    bound = float(np.sqrt(3.0 * gain / fan_in))
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(T.default_dtype()))
+    return UniformDraw(rng, shape, float(np.sqrt(3.0 * gain / fan_in)))
 
 
 def _same_pad(k: int) -> tuple[int, int]:
@@ -81,16 +110,16 @@ def _tap_madd(out: np.ndarray, a: np.ndarray, wt: np.ndarray, groups: int) -> No
             out[..., o::og] += a[..., c::cig] * wt[c, o::og]
 
 
-def _tap_weight_grad(a: np.ndarray, g: np.ndarray, groups: int) -> np.ndarray:
-    """One tap's (cin/groups, cout) weight gradient from its inputs and output grads."""
+def _tap_weight_grad(out: np.ndarray, a: np.ndarray, g: np.ndarray, groups: int) -> None:
+    """Write one tap's (cin/groups, cout) weight gradient, from its inputs and
+    output grads, into `out`."""
     if groups == 1:
-        return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        np.matmul(a.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]), out=out)
+        return
     cig, og = a.shape[-1] // groups, g.shape[-1] // groups
-    dw = np.empty((cig, g.shape[-1]), dtype=a.dtype)
     for c in range(cig):
         for o in range(og):
-            dw[c, o::og] = (a[..., c::cig] * g[..., o::og]).sum(axis=(0, 1, 2))
-    return dw
+            out[c, o::og] = (a[..., c::cig] * g[..., o::og]).sum(axis=(0, 1, 2))
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
@@ -130,12 +159,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
 
     def bw(g):
         dx = np.zeros(x.shape, dtype=x.data.dtype)
-        dw = np.zeros(w.shape, dtype=w.data.dtype)
+        dw = np.empty(w.shape, dtype=w.data.dtype)
+        # taps that see no pixel (a kernel row or column beyond the image) get zeros
+        dw[[i for i, r in enumerate(rows) if r is None]] = 0
+        dw[:, [j for j, c in enumerate(cols) if c is None]] = 0
         # per tap, the (cout/groups, cin) weights that map output grads to input grads
         w_back = w.data.reshape(kh, kw, cig, groups, -1).transpose(0, 1, 4, 3, 2)
         for i, j, (ro, ri), (co, ci) in taps:
             _tap_madd(dx[:, ri, ci], g[:, ro, co], w_back[i, j].reshape(-1, cin), groups)
-            dw[i, j] = _tap_weight_grad(x.data[:, ri, ci], g[:, ro, co], groups)
+            _tap_weight_grad(dw[i, j], x.data[:, ri, ci], g[:, ro, co], groups)
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 1, 2))
@@ -171,10 +203,10 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def bw(g):
         dx = np.zeros_like(x.data)
-        dw = np.zeros_like(w.data)
+        dw = np.empty_like(w.data)  # every one of the four taps is live
         for i, j, (ro, ri), (co, ci) in taps:
             _tap_madd(dx[:, ro, co], g[:, ri, ci], w.data[i, j], 1)
-            dw[i, j] = _tap_weight_grad(g[:, ri, ci], x.data[:, ro, co], 1)
+            _tap_weight_grad(dw[i, j], g[:, ri, ci], x.data[:, ro, co], 1)
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 1, 2))
@@ -297,7 +329,7 @@ class Conv2d:
         store.add(self.w_name,
                   kaiming_uniform(rng, (kh, kw, cin // groups, cout), fan_in, init_gain))
         if bias:
-            store.add(self.b_name, T.zeros((cout,)))
+            store.add(self.b_name, T.Fill((cout,), 0.0))
         self.store = store
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -314,7 +346,7 @@ class ConvTranspose2x2:
         self.w_name = f"{prefix}.w"
         self.b_name = f"{prefix}.b"
         store.add(self.w_name, kaiming_uniform(rng, (2, 2, cout, cin), cin, gain=1.0))
-        store.add(self.b_name, T.zeros((cout,)))
+        store.add(self.b_name, T.Fill((cout,), 0.0))
         self.store = store
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -328,15 +360,18 @@ class BatchNorm:
     def __init__(self, store: ParamStore, prefix: str, c: int):
         self.g_name = f"{prefix}.gamma"
         self.b_name = f"{prefix}.beta"
-        store.add(self.g_name, T.tensor_new((c,), 1.0))
-        store.add(self.b_name, T.zeros((c,)))
-        self.rm = store.add_buffer(f"{prefix}.running_mean", np.zeros(c))
-        self.rv = store.add_buffer(f"{prefix}.running_var", np.ones(c))
+        self.rm_name = f"{prefix}.running_mean"
+        self.rv_name = f"{prefix}.running_var"
+        store.add(self.g_name, T.Fill((c,), 1.0))
+        store.add(self.b_name, T.Fill((c,), 0.0))
+        store.add_buffer(self.rm_name, T.Fill((c,), 0.0))
+        store.add_buffer(self.rv_name, T.Fill((c,), 1.0))
         self.store = store
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return batch_norm(x, self.store.value(self.g_name), self.store.value(self.b_name),
-                          self.rm, self.rv, training)
+        s = self.store
+        return batch_norm(x, s.value(self.g_name), s.value(self.b_name),
+                          s.buffer(self.rm_name), s.buffer(self.rv_name), training)
 
 
 class LayerNorm:
@@ -345,8 +380,8 @@ class LayerNorm:
     def __init__(self, store: ParamStore, prefix: str, c: int):
         self.g_name = f"{prefix}.gamma"
         self.b_name = f"{prefix}.beta"
-        store.add(self.g_name, T.tensor_new((c,), 1.0))
-        store.add(self.b_name, T.zeros((c,)))
+        store.add(self.g_name, T.Fill((c,), 1.0))
+        store.add(self.b_name, T.Fill((c,), 0.0))
         self.store = store
 
     def __call__(self, x: Tensor) -> Tensor:

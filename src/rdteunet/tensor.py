@@ -5,10 +5,14 @@ Layout is row-major with channels last: 4-D feature maps are
 producing new values means producing new Tensors. The element dtype is
 float32 by contract; a float64 switch exists to tighten gradient checks.
 
-One exception to immutability is the parameter arena. Once a ParamStore is
-packed (by the first optimizer-path call: `Adam(...)`, `clip_grad_norm` or
-`Adam.step`), every parameter value is a read-only Tensor view into one flat
-value arena, and every gradient a writable view into one flat grad arena.
+One exception to immutability is the parameter arena. A ParamStore's `add`
+declares a parameter, its shape and its initial value, and allocates or
+draws nothing. The first read of a value, a gradient or `arena()` allocates
+one flat value arena and one flat grad arena and writes every initial value
+straight into its slot; a loaded checkpoint is read into a fresh value arena
+that the store adopts instead, so no initial value is computed. From then
+on every parameter value is a read-only Tensor view into the value arena,
+and every gradient a writable view into the grad arena.
 The optimizer is the single writer of the value arena and writes it only
 between steps, so a value read during a forward and backward stays fixed
 for that step. A caller that keeps a parameter value across a step copies it.
@@ -275,6 +279,16 @@ def _rec(out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
 # ---------------------------------------------------------------------------
 # ParamStore
 
+@dataclass(frozen=True)
+class Fill:
+    """A constant initial value: every element of `shape` is `value`."""
+    shape: tuple[int, ...]
+    value: float
+
+    def write(self, out: np.ndarray) -> None:
+        out.fill(self.value)
+
+
 @dataclass
 class Param:
     value: Tensor
@@ -284,94 +298,120 @@ class Param:
 class ParamStore:
     """Named trainable tensors with gradients, plus non-trainable buffers.
 
-    Buffers hold batch-norm running statistics; they are mutated in place
-    by their owning layer (single writer) and checkpointed alongside params.
+    `add(name, init)` declares a parameter by its initial value: a Tensor, a
+    `Fill`, or a deferred draw such as `nn.kaiming_uniform`'s (anything with
+    `shape` and `write(out)`). The first read of any value or gradient, or
+    `arena()`, allocates the value and grad arenas of the store's dtype once,
+    in the order of `names()`: draws and fills are written into their slots,
+    grads start at zero, and later `add`s are refused. `adopt` installs a
+    ready value arena instead, so no initial value is ever computed.
 
-    `arena()` packs the parameters into one flat value arena and one flat
-    grad arena of the store's dtype, in the order of `names()`; see the
-    module docstring for the contract. After packing, `set_value` still makes
-    the next forward read exactly the Tensor it was given; its data enters
-    the arena at the next `arena()` call.
+    A Tensor given to `add` or `set_value` is exactly what the next forward
+    reads; its data enters the arena at the next `arena()` call.
+
+    Buffers hold batch-norm running statistics, each allocated at its first
+    read; they are mutated in place by their owning layer (single writer)
+    and checkpointed alongside params.
     """
 
     def __init__(self):
         self.dtype = default_dtype()
+        # before the arenas exist, a param's value is its initial value and its grad None
         self._params: dict[str, Param] = {}
-        self._buffers: dict[str, np.ndarray] = {}
+        self._buffers: dict[str, np.ndarray | Fill] = {}
         self._values: np.ndarray | None = None
         self._grads: np.ndarray | None = None
         # per param, in store order: (writable arena slot, read-only view Tensor)
         self._slots: list[tuple[np.ndarray, Tensor]] = []
 
-    def add(self, name: str, value: Tensor) -> Tensor:
+    def add(self, name: str, init):
+        """Declare parameter `name` with initial value `init`; returns `init`."""
         if not name:
             raise ConfigError("parameter name must be non-empty")
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
         if self._values is not None:
             raise ConfigError(f"cannot add parameter {name!r}: the store is packed")
-        self._params[name] = Param(value, np.zeros_like(value.data))
-        return value
+        self._params[name] = Param(init, None)
+        return init
 
-    def add_buffer(self, name: str, arr: np.ndarray) -> np.ndarray:
+    def add_buffer(self, name: str, init: Fill) -> None:
         if not name or name in self._buffers:
             raise ConfigError(f"bad or duplicate buffer name {name!r}")
-        self._buffers[name] = np.asarray(arr, dtype=default_dtype())
-        return self._buffers[name]
+        self._buffers[name] = init
 
     def __getitem__(self, name: str) -> Param:
+        self._allocate()
         return self._params[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
     def value(self, name: str) -> Tensor:
-        return self._params[name].value
+        return self[name].value
 
-    def set_value(self, name: str, value: Tensor) -> None:
+    def shape(self, name: str) -> tuple[int, ...]:
+        """Shape of a parameter or buffer; allocates nothing."""
+        p = self._params.get(name)
+        return (self._buffers[name] if p is None else p.value).shape
+
+    def set_value(self, name: str, value) -> None:
+        """Make `value` the parameter's value and zero its gradient. Before
+        the arenas exist, `value` may also be a `Fill` or a draw: it replaces
+        the initial value, and nothing is allocated or drawn."""
         p = self._params[name]
         if value.shape != p.value.shape:
             raise ShapeError(
                 f"param {name!r}: expected shape {p.value.shape}, got {value.shape}"
             )
+        if self._values is None:
+            p.value = value
+            return
+        if not isinstance(value, Tensor):
+            raise ConfigError(f"param {name!r}: the arena exists, so only a Tensor can be set")
         p.value = value
         p.grad.fill(0)
 
     def arena(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flat value and grad arenas. The first call packs the store,
-        carrying over every value and gradient; later calls copy into the
-        arena each value that `set_value` replaced since."""
-        if self._values is None:
-            values = np.empty(self.n_scalars(), self.dtype)
-            grads = np.empty_like(values)
-            lo = 0
-            for p in self._params.values():
-                hi = lo + p.value.size
-                values[lo:hi] = p.value.data.reshape(-1)
-                grads[lo:hi] = p.grad.reshape(-1)
-                lo = hi
-            self._install(values, grads)
-        else:
-            for p, (slot, view) in zip(self._params.values(), self._slots):
-                if p.value is not view:
-                    np.copyto(slot, p.value.data)
-                    p.value = view
+        """The flat value and grad arenas. Each call first copies into the
+        value arena every Tensor given by `add` or `set_value` since."""
+        self._allocate()
+        for p, (slot, view) in zip(self._params.values(), self._slots):
+            if p.value is not view:
+                np.copyto(slot, p.value.data)
+                p.value = view
         return self._values, self._grads
 
     def adopt(self, values: np.ndarray) -> None:
         """Make the flat array `values`, laid out in the order of `names()`,
-        the value arena without copying it. Every gradient restarts at zero."""
+        the value arena without copying it; no initial value is computed.
+        Every gradient restarts at zero."""
         if values.shape != (self.n_scalars(),) or values.dtype != self.dtype:
             raise ShapeError(f"arena of {values.shape} {values.dtype} for "
                              f"{self.n_scalars()} {np.dtype(self.dtype)} scalars")
         self._install(values, np.zeros_like(values))
+
+    def _allocate(self) -> None:
+        """Allocate both arenas once and write every initial value into its
+        slot, in add order; a given Tensor stays the value read until `arena()`."""
+        if self._values is not None:
+            return
+        inits = [p.value for p in self._params.values()]
+        n = self.n_scalars()
+        self._install(np.empty(n, self.dtype), np.zeros(n, self.dtype))
+        for p, init, (slot, _) in zip(self._params.values(), inits, self._slots):
+            if isinstance(init, Tensor):
+                p.value = init
+            else:
+                init.write(slot)
 
     def _install(self, values: np.ndarray, grads: np.ndarray) -> None:
         self._values, self._grads, self._slots = values, grads, []
         lo = 0
         with using_dtype(self.dtype):  # so Tensor keeps the view, never a cast copy
             for p in self._params.values():
-                shape, hi = p.value.shape, lo + p.value.size
+                shape = p.value.shape
+                hi = lo + math.prod(shape)
                 slot = values[lo:hi].reshape(shape)
                 view = slot.view()
                 view.flags.writeable = False
@@ -381,7 +421,13 @@ class ParamStore:
                 lo = hi
 
     def buffer(self, name: str) -> np.ndarray:
-        return self._buffers[name]
+        """The named buffer; its first read allocates it with its initial value."""
+        buf = self._buffers[name]
+        if not isinstance(buf, np.ndarray):
+            init, buf = buf, np.empty(buf.shape, self.dtype)
+            init.write(buf)
+            self._buffers[name] = buf
+        return buf
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -390,10 +436,11 @@ class ParamStore:
         return list(self._buffers)
 
     def items(self):
+        self._allocate()
         return self._params.items()
 
     def n_scalars(self) -> int:
-        return sum(p.value.size for p in self._params.values())
+        return sum(math.prod(p.value.shape) for p in self._params.values())
 
 
 def backward(tape: Tape, loss: Tensor, params: ParamStore) -> None:
@@ -765,10 +812,14 @@ def read_rdtf_header(f) -> tuple[int, ...]:
 
 
 def read_into(f, arr: np.ndarray) -> None:
-    """Fill the C-contiguous array `arr` with the next arr.nbytes bytes of `f`."""
-    n = f.readinto(memoryview(arr).cast("B"))
-    if n != arr.nbytes:
-        raise TruncationError(f"expected {arr.nbytes} bytes, got {n}")
+    """Fill the C-contiguous array `arr` with the next arr.size little-endian
+    f32 values of `f`, cast to arr's dtype."""
+    raw = arr if arr.dtype == np.dtype("<f4") else np.empty(arr.shape, "<f4")
+    n = f.readinto(memoryview(raw).cast("B"))
+    if n != raw.nbytes:
+        raise TruncationError(f"expected {raw.nbytes} bytes, got {n}")
+    if raw is not arr:
+        arr[...] = raw
 
 
 def read_rdtf_record(f) -> Tensor:

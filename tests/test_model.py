@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import rdteunet.model as M
+import rdteunet.nn as nn
 import rdteunet.tensor as T
 from rdteunet.tensor import (
     ConfigError,
@@ -214,6 +217,7 @@ def test_clip_grad_norm_rejects_non_finite_grad(bad):
     store = T.ParamStore()
     for name in ("a", "b", "c"):
         store.add(name, Tensor(np.full(3, 2.0, dtype=np.float32)))
+    for name in ("a", "b", "c"):
         store[name].grad[...] = 5.0
     store["b"].grad[1] = bad
     store["c"].grad[0] = bad
@@ -230,8 +234,10 @@ def _ragged_store(rng, scale=None):
     """Three params over four arena blocks, the last one ragged."""
     b = M.ARENA_BLOCK
     store = T.ParamStore()
-    for name, shape in (("a", (b + 5,)), ("b", (2, b - 7)), ("c", (3, 41))):
+    shapes = {"a": (b + 5,), "b": (2, b - 7), "c": (3, 41)}
+    for name, shape in shapes.items():
         store.add(name, T.zeros(shape))
+    for name, shape in shapes.items():
         store[name].grad[...] = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
                                  if scale is None else scale)
     assert store.n_scalars() % b and store.n_scalars() > 3 * b
@@ -361,6 +367,37 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert again.step == 17
     assert again.config == model.config
     assert np.array_equal(again(x).data, before)
+
+
+def test_checkpoint_load_computes_no_initial_value(tmp_path, monkeypatch):
+    model = M.RdteUnet(small_config(seed=18))
+    x = rx((1, 32, 32, 1), 19)
+    before = model(x).data
+    M.save_checkpoint(model, tmp_path / "m.rdtc")
+
+    def refuse(draw, out):
+        raise AssertionError(f"an initial value of shape {draw.shape} was drawn")
+
+    monkeypatch.setattr(nn.UniformDraw, "write", refuse)
+    again = M.load_checkpoint(tmp_path / "m.rdtc")
+    assert np.array_equal(again(x).data, before)
+
+
+# SHA-256 of the float32 initial value arena of small_config(variant), as the
+# layers gave it when each drew its weights at construction
+INIT_ARENA_SHA256 = {
+    "full": "11ab1a90de1c71a339384764cd6d235a79730dc089f237e9c7da718103002247",
+    "no_asbe": "7fd4407ca4958a38cda89b00d583909ca3f495affedb21a42f04d41025c5c5f5",
+    "no_hvda": "b33e641cf634ecc6264e65c6428cb3ea117946545de59b46ef54fa2f39859fb7",
+    "no_eulerff": "c0e7a2745809305b15779c6179304b459604da332c3122c68003b136be76cfbd",
+}
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_initial_arena_keeps_the_draw_order(variant):
+    values, _ = M.RdteUnet(small_config(variant)).store.arena()
+    assert values.dtype == np.float32
+    assert hashlib.sha256(values.tobytes()).hexdigest() == INIT_ARENA_SHA256[variant]
 
 
 def test_checkpoint_bad_magic(tmp_path):

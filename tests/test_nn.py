@@ -473,3 +473,33 @@ def test_param_grads_flow_through_layers():
     g = store["rb.conv1.w"].grad
     assert g.shape == store.value("rb.conv1.w").shape
     assert np.abs(g).max() > 0
+
+
+# ---------------------------------------------------------------------------
+# deferred initial draws
+
+def test_deferred_draw_leaves_the_callers_stream_as_eager_drawing():
+    bound = float(np.sqrt(3.0 * 2.0 / (3 * 3 * 4)))
+    eager = np.random.default_rng(5)
+    first = eager.integers(0, 3)  # keeps half of a 64-bit output buffered
+    want_w = eager.uniform(-bound, bound, size=(3, 3, 4, 6)).astype(np.float32)
+    want_ints, want_normals = eager.integers(0, 3, size=4), eager.standard_normal(3)
+
+    rng = np.random.default_rng(5)
+    assert rng.integers(0, 3) == first
+    store = ParamStore()
+    nn.Conv2d(store, "c", rng, 4, 6, 3, init_gain=2.0)
+    assert np.array_equal(rng.integers(0, 3, size=4), want_ints)
+    assert np.array_equal(rng.standard_normal(3), want_normals)
+    assert np.array_equal(store.value("c.w").data, want_w)
+
+
+def test_deferred_draws_take_the_store_dtype():
+    with T.using_dtype(np.float64):
+        store = ParamStore()
+        nn.Conv2d(store, "c", np.random.default_rng(6), 2, 3, 3)
+    bound = float(np.sqrt(3.0 * 1.0 / (3 * 3 * 2)))
+    want = np.random.default_rng(6).uniform(-bound, bound, size=(3, 3, 2, 3))
+    got = store.value("c.w").data  # first read with float32 the default dtype
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)

@@ -1,12 +1,15 @@
+import ast
 import functools
 import importlib
 import pathlib
+import sys
 
 import pytest
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_console_scripts_import_to_callables():
@@ -15,3 +18,19 @@ def test_console_scripts_import_to_callables():
         module, _, attr = target.partition(":")
         obj = functools.reduce(getattr, attr.split("."), importlib.import_module(module))
         assert callable(obj), f"console script {name!r} -> {target} is not callable"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "rdteunet"}
+    sources = sorted((ROOT / "src" / "rdteunet").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            outside = [r for r in roots if r not in allowed]
+            assert not outside, f"{path.name}:{node.lineno} imports {outside}"

@@ -2,6 +2,7 @@
 object or raises FormatError / TruncationError, whatever bytes it is given."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ READERS = {
     "manifest": ("manifest.json", lambda p: ds.read_manifest(p.parent)),
 }
 TINY = M.ModelConfig(h=32, w=32, base_width=1, variant="no_hvda", seed=0)
+# most bytes a reader may allocate on its way to rejecting a malformed file
+# (numpy reports its buffers to tracemalloc)
+REJECT_PEAK_BYTES = 16 << 20
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,9 @@ MALFORMED = {
     "ckpt-config_seed_bool": _ckpt(seed=True),
     "ckpt-step_str": _ckpt(step="x"),
     "ckpt-entry_shape": _ckpt({"head.w": T.zeros((1, 1, 5, 5))}),
+    # at this width one ASBE conv's initial draw alone would need 168 GiB
+    "ckpt-no_entries_base_width_100000": _ckpt_raw(
+        json.dumps({**TINY.to_dict(), "base_width": 100_000}).encode()),
     "pgm-zero_width": _raw(b"P5\n0 2\n255\n"),
     "pgm-5000_digit_width": _raw(b"P5\n" + b"9" * 5000 + b" 1\n255\n"),
     "manifest-not_utf8": _raw(b"\xff{}"),
@@ -86,8 +93,14 @@ def test_reader_rejects_malformed_bytes(case, tmp_path, tiny_model):
     fname, read = READERS[case.split("-")[0]]
     path = tmp_path / fname
     MALFORMED[case](path, tiny_model)
-    with pytest.raises((FormatError, TruncationError)):
-        read(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises((FormatError, TruncationError)):
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < REJECT_PEAK_BYTES
 
 
 # ---------------------------------------------------------------------------
