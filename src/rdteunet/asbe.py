@@ -118,14 +118,14 @@ class ArConv:
     per-position (height, width) in [1, R_MAX]; sampling follows on a
     GRID x GRID grid."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
-        self.shape_conv1 = nn.Conv2d(store, f"{prefix}.shape1", rng, c, c, 3, pad="same",
+    def __init__(self, store: ParamStore, prefix: str, c: int):
+        self.shape_conv1 = nn.Conv2d(store, f"{prefix}.shape1", c, c, 3, pad="same",
                                      init_gain=2.0)
-        self.shape_conv2 = nn.Conv2d(store, f"{prefix}.shape2", rng, c, 2, 3, pad="same")
+        self.shape_conv2 = nn.Conv2d(store, f"{prefix}.shape2", c, 2, 3, pad="same")
         self.w_name = f"{prefix}.w"
         self.b_name = f"{prefix}.b"
         store.add(self.w_name,
-                  nn.kaiming_uniform(rng, (GRID, GRID, c, c), GRID * GRID * c, gain=1.0))
+                  nn.kaiming_uniform((GRID, GRID, c, c), GRID * GRID * c, gain=1.0))
         store.add(self.b_name, T.Fill((c,), 0.0))
         self.store = store
 
@@ -144,11 +144,10 @@ class AsbeStem:
     rectangular conv -> ReLU fusion -> concat with compressed features ->
     1x1 output conv. Spatial dims are preserved."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 cin: int, c_stem: int, c_mid: int):
-        self.compress = nn.Conv2d(store, f"{prefix}.compress", rng, cin, c_mid, 1, pad="valid")
-        self.arconv = ArConv(store, f"{prefix}.arconv", rng, c_mid)
-        self.out = nn.Conv2d(store, f"{prefix}.out", rng, 2 * c_mid, c_stem, 1, pad="valid")
+    def __init__(self, store: ParamStore, prefix: str, cin: int, c_stem: int, c_mid: int):
+        self.compress = nn.Conv2d(store, f"{prefix}.compress", cin, c_mid, 1, pad="valid")
+        self.arconv = ArConv(store, f"{prefix}.arconv", c_mid)
+        self.out = nn.Conv2d(store, f"{prefix}.out", 2 * c_mid, c_stem, 1, pad="valid")
 
     def boundary_cue(self, x1: Tensor) -> Tensor:
         """High-frequency residual: features minus their local average.

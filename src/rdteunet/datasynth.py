@@ -20,6 +20,7 @@ from .tensor import (ConfigError, FormatError, Tensor, TruncationError, _json_ob
 SHAPE_ELLIPSE = 1
 SHAPE_RECTANGLE = 2
 SHAPE_ANNULUS = 3
+NOISE_SIGMA = 0.05  # standard deviation of the Gaussian noise added to every image
 
 
 @dataclass
@@ -27,7 +28,6 @@ class GenSpec:
     count: int
     size: int = 64
     num_classes: int = 4
-    noise_sigma: float = 0.05
     seed: int = 0
 
     def validate(self) -> None:
@@ -39,8 +39,6 @@ class GenSpec:
             raise ConfigError(
                 f"num_classes must be in [2, 4] (background + up to 3 shapes), "
                 f"got {self.num_classes}")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
 
 
 @dataclass
@@ -97,7 +95,7 @@ def generate(spec: GenSpec) -> list[SegSample]:
             [_class_intensity(c, spec.num_classes) for c in range(spec.num_classes)],
             dtype=np.float32)
         img = levels[mask]
-        img = img + spec.noise_sigma * rng.standard_normal(mask.shape).astype(np.float32)
+        img = img + NOISE_SIGMA * rng.standard_normal(mask.shape).astype(np.float32)
         img = np.clip(img, 0.0, 1.0).astype(np.float32)
         samples.append(SegSample(image=Tensor(img[..., None]),
                                  mask=Tensor(mask.astype(np.float32))))

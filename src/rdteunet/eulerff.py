@@ -32,10 +32,10 @@ def _phase_limit(dtype) -> float:
 class EulerStream:
     """One fusion stream: directional Euler expansions + channel path + 1x1 fuse."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
+    def __init__(self, store: ParamStore, prefix: str, c: int):
         self.c = c
         mk = lambda name, kh, kw, cin, cout, groups=1: nn.Conv2d(
-            store, f"{prefix}.{name}", rng, cin, cout, kh, kw, pad="same", groups=groups)
+            store, f"{prefix}.{name}", cin, cout, kh, kw, pad="same", groups=groups)
         self.amp = {HORIZONTAL: mk("amp_h", 1, 3, c, c), VERTICAL: mk("amp_v", 3, 1, c, c)}
         self.phase = {HORIZONTAL: mk("phase_h", 1, 3, c, c), VERTICAL: mk("phase_v", 3, 1, c, c)}
         self.group = {HORIZONTAL: mk("group_h", 1, 3, 2 * c, c, groups=c),
@@ -78,11 +78,11 @@ class EulerStream:
 class EulerFusion:
     """Fuses a skip tensor and a decoder tensor of identical shape into c channels."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
+    def __init__(self, store: ParamStore, prefix: str, c: int):
         self.c = c
-        self.stream_skip = EulerStream(store, f"{prefix}.skip", rng, c)
-        self.stream_dec = EulerStream(store, f"{prefix}.dec", rng, c)
-        self.final = nn.Conv2d(store, f"{prefix}.final", rng, 2 * c, c, 1, pad="valid")
+        self.stream_skip = EulerStream(store, f"{prefix}.skip", c)
+        self.stream_dec = EulerStream(store, f"{prefix}.dec", c)
+        self.final = nn.Conv2d(store, f"{prefix}.final", 2 * c, c, 1, pad="valid")
 
     def __call__(self, x_skip: Tensor, x_dec: Tensor) -> Tensor:
         if x_skip.shape != x_dec.shape:
@@ -97,8 +97,8 @@ class EulerFusion:
 class ConcatFusion:
     """Plain skip connection for the ablation: channel concat + 1x1 reduction."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
-        self.conv = nn.Conv2d(store, f"{prefix}.conv", rng, 2 * c, c, 1, pad="valid")
+    def __init__(self, store: ParamStore, prefix: str, c: int):
+        self.conv = nn.Conv2d(store, f"{prefix}.conv", 2 * c, c, 1, pad="valid")
 
     def __call__(self, x_skip: Tensor, x_dec: Tensor) -> Tensor:
         if x_skip.shape != x_dec.shape:

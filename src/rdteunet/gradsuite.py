@@ -26,6 +26,7 @@ from . import tensor as T
 from .tensor import GradcheckReport, ParamStore, Tensor, gradcheck
 
 EPS = 1e-5
+TOL = 1e-4
 TOL_FACTOR = {"model.param_subset": 2.0}  # rows checked at a multiple of the base tol
 
 Check = Callable[[float], list[GradcheckReport]]  # tol -> the row's reports
@@ -39,9 +40,8 @@ class CheckRow:
     n_checked: int
 
 
-def _rx(shape, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    return Tensor(scale * rng.standard_normal(shape))
+def _rx(shape, seed):
+    return Tensor(np.random.default_rng(seed).standard_normal(shape))
 
 
 def _probe_loss(y: Tensor, probe: Tensor) -> Tensor:
@@ -52,7 +52,7 @@ def _probe_loss(y: Tensor, probe: Tensor) -> Tensor:
 # per-row checks
 
 def check_elementwise(tol):
-    x = _rx((10,), 1, 0.8)
+    x = _rx((10,), 1) * 0.8
 
     def f(v):
         a = T.silu(v)
@@ -145,8 +145,8 @@ def check_avg_pool(tol):
 
 
 def check_mlp(tol):
-    store = ParamStore()
-    mlp = nn.Mlp(store, "m", np.random.default_rng(26), 4)
+    store = ParamStore(26)
+    mlp = nn.Mlp(store, "m", 4)
     x = _rx((1, 2, 2, 4), 27)
     probe = _rx((1, 2, 2, 4), 28)
     r1 = gradcheck(lambda v: _probe_loss(mlp(v), probe), x, EPS, tol)
@@ -160,8 +160,8 @@ def check_mlp(tol):
 
 
 def check_resblock(tol):
-    store = ParamStore()
-    blk = nn.ResBlock(store, "rb", np.random.default_rng(29), 2)
+    store = ParamStore(29)
+    blk = nn.ResBlock(store, "rb", 2)
     x = _rx((1, 4, 4, 2), 30)
     probe = _rx((1, 4, 4, 2), 31)
 
@@ -172,8 +172,8 @@ def check_resblock(tol):
 
 
 def _stair_check(axis, seed, tol):
-    store = ParamStore()
-    stair = sc.StairConv(store, "s", np.random.default_rng(seed), axis, 2, 4, k=2)
+    store = ParamStore(seed)
+    stair = sc.StairConv(store, "s", axis, 2, 4, k=2)
     x = _rx((1, 4, 4, 2), seed + 1)
     probe = _rx((1, 4, 4, 4), seed + 2)
 
@@ -189,8 +189,8 @@ def _stair_check(axis, seed, tol):
 
 
 def check_hvda_branch(tol):
-    store = ParamStore()
-    branch = hv.HvdaBranch(store, "br", np.random.default_rng(40), 2)
+    store = ParamStore(40)
+    branch = hv.HvdaBranch(store, "br", 2)
     x = _rx((1, 4, 4, 2), 41)
     probe = _rx((1, 4, 4, 2), 42)
 
@@ -201,8 +201,8 @@ def check_hvda_branch(tol):
 
 
 def check_hvda_attention(tol):
-    store = ParamStore()
-    attn = hv.HvdaAttention(store, "at", np.random.default_rng(43), 2)
+    store = ParamStore(43)
+    attn = hv.HvdaAttention(store, "at", 2)
     x = _rx((1, 4, 4, 2), 44)
     probe = _rx((1, 4, 4, 2), 45)
 
@@ -218,8 +218,8 @@ def check_hvda_attention(tol):
 
 
 def check_details_block(tol):
-    store = ParamStore()
-    blk = hv.DetailsTransformerBlock(store, "dtb", np.random.default_rng(46), 4)
+    store = ParamStore(46)
+    blk = hv.DetailsTransformerBlock(store, "dtb", 4)
     x = _rx((1, 4, 4, 4), 47)
     probe = _rx((1, 4, 4, 4), 48)
 
@@ -230,8 +230,8 @@ def check_details_block(tol):
 
 
 def check_arconv(tol):
-    store = ParamStore()
-    ar = ab.ArConv(store, "ar", np.random.default_rng(49), 2)
+    store = ParamStore(49)
+    ar = ab.ArConv(store, "ar", 2)
     x = _rx((1, 5, 5, 2), 50)
     probe = _rx((1, 5, 5, 2), 51)
     r1 = gradcheck(lambda v: _probe_loss(ar(v), probe), x, EPS, tol)
@@ -250,16 +250,16 @@ def check_arconv(tol):
 
 
 def check_asbe_stem(tol):
-    store = ParamStore()
-    stem = ab.AsbeStem(store, "st", np.random.default_rng(52), 1, c_stem=4, c_mid=2)
+    store = ParamStore(52)
+    stem = ab.AsbeStem(store, "st", 1, c_stem=4, c_mid=2)
     x = _rx((1, 6, 6, 1), 53)
     probe = _rx((1, 6, 6, 4), 54)
     return [gradcheck(lambda v: _probe_loss(stem(v), probe), x, EPS, tol)]
 
 
 def check_euler_expand(tol):
-    store = ParamStore()
-    stream = ef.EulerStream(store, "es", np.random.default_rng(55), 2)
+    store = ParamStore(55)
+    stream = ef.EulerStream(store, "es", 2)
     x = _rx((1, 3, 3, 2), 56)
     probe = _rx((1, 3, 3, 4), 57)
     return [gradcheck(lambda v: _probe_loss(stream.expand(v, axis), probe), x, EPS, tol)
@@ -267,16 +267,16 @@ def check_euler_expand(tol):
 
 
 def check_euler_stream(tol):
-    store = ParamStore()
-    stream = ef.EulerStream(store, "es", np.random.default_rng(58), 2)
+    store = ParamStore(58)
+    stream = ef.EulerStream(store, "es", 2)
     x = _rx((1, 4, 4, 2), 59)
     probe = _rx((1, 4, 4, 2), 60)
     return [gradcheck(lambda v: _probe_loss(stream(v), probe), x, EPS, tol)]
 
 
 def check_euler_fuse(tol):
-    store = ParamStore()
-    fuse = ef.EulerFusion(store, "ff", np.random.default_rng(61), 2)
+    store = ParamStore(61)
+    fuse = ef.EulerFusion(store, "ff", 2)
     xd = _rx((1, 3, 3, 2), 62)
     probe = _rx((1, 3, 3, 2), 63)
     xs = _rx((1, 3, 3, 2), 64)
@@ -346,16 +346,16 @@ SCOPES: dict[str, dict[str, Check]] = {
 }
 
 
-def run_row(name: str, check: Check, tol: float = 1e-4) -> CheckRow:
-    """One row under the float64 switch, at `tol` times the row's factor."""
-    tol *= TOL_FACTOR.get(name, 1.0)
+def run_row(name: str, check: Check) -> CheckRow:
+    """One row under the float64 switch, at TOL times the row's factor."""
+    tol = TOL * TOL_FACTOR.get(name, 1.0)
     with T.using_dtype(np.float64):
         reports = check(tol)
     err = max(r.max_rel_err for r in reports)
     return CheckRow(name, err, err <= tol, sum(r.n_checked for r in reports))
 
 
-def run_suite(scope: str, tol: float = 1e-4) -> list[CheckRow]:
+def run_suite(scope: str) -> list[CheckRow]:
     """Run one scope (or 'all')."""
     if scope == "all":
         names = list(SCOPES)
@@ -364,4 +364,4 @@ def run_suite(scope: str, tol: float = 1e-4) -> list[CheckRow]:
     else:
         raise T.ConfigError(f"unknown gradcheck scope {scope!r}; "
                             f"choose from {list(SCOPES) + ['all']}")
-    return [run_row(row, check, tol) for s in names for row, check in SCOPES[s].items()]
+    return [run_row(row, check) for s in names for row, check in SCOPES[s].items()]

@@ -12,8 +12,6 @@ transformer block's MLP is two 1x1 convolutions (nn.Mlp).
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import nn
 from . import tensor as T
 from .stairconv import HORIZONTAL, VERTICAL, StairConv
@@ -26,13 +24,13 @@ class HvdaBranch:
     """StairConv detail extractor producing one fused c-channel map.
     `reduce` and `deep` have no bias: the BN after each would cancel it."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
-        self.stair_h = StairConv(store, f"{prefix}.stair_h", rng, HORIZONTAL, c, c)
-        self.stair_v = StairConv(store, f"{prefix}.stair_v", rng, VERTICAL, c, c)
-        self.reduce = nn.Conv2d(store, f"{prefix}.reduce", rng, 2 * c, c, 1, pad="valid",
+    def __init__(self, store: ParamStore, prefix: str, c: int):
+        self.stair_h = StairConv(store, f"{prefix}.stair_h", HORIZONTAL, c, c)
+        self.stair_v = StairConv(store, f"{prefix}.stair_v", VERTICAL, c, c)
+        self.reduce = nn.Conv2d(store, f"{prefix}.reduce", 2 * c, c, 1, pad="valid",
                                 bias=False, init_gain=2.0)
         self.bn_reduce = nn.BatchNorm(store, f"{prefix}.bn_reduce", c)
-        self.deep = nn.Conv2d(store, f"{prefix}.deep", rng, c, c, 3, pad="same",
+        self.deep = nn.Conv2d(store, f"{prefix}.deep", c, c, 3, pad="same",
                               bias=False, init_gain=2.0)
         self.bn_deep = nn.BatchNorm(store, f"{prefix}.bn_deep", c)
 
@@ -66,19 +64,18 @@ class HvdaAttention:
     carries no residual; the enclosing block adds it. `proj_k` has no bias:
     q_i * b is constant along softmax row i, so the softmax would cancel it."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 c: int, detail: bool = True):
+    def __init__(self, store: ParamStore, prefix: str, c: int, detail: bool = True):
         self.c = c
         self.detail = detail
         if detail:
-            self.branch_q = HvdaBranch(store, f"{prefix}.branch_q", rng, c)
-            self.branch_k = HvdaBranch(store, f"{prefix}.branch_k", rng, c)
-            self.branch_v = HvdaBranch(store, f"{prefix}.branch_v", rng, c)
-        self.proj_q = nn.Conv2d(store, f"{prefix}.proj_q", rng, c, 1, 1, pad="valid")
-        self.proj_k = nn.Conv2d(store, f"{prefix}.proj_k", rng, c, 1, 1, pad="valid",
+            self.branch_q = HvdaBranch(store, f"{prefix}.branch_q", c)
+            self.branch_k = HvdaBranch(store, f"{prefix}.branch_k", c)
+            self.branch_v = HvdaBranch(store, f"{prefix}.branch_v", c)
+        self.proj_q = nn.Conv2d(store, f"{prefix}.proj_q", c, 1, 1, pad="valid")
+        self.proj_k = nn.Conv2d(store, f"{prefix}.proj_k", c, 1, 1, pad="valid",
                                 bias=False)
-        self.proj_v = nn.Conv2d(store, f"{prefix}.proj_v", rng, c, c, 1, pad="valid")
-        self.proj_out = nn.Conv2d(store, f"{prefix}.proj_out", rng, c, c, 1, pad="valid")
+        self.proj_v = nn.Conv2d(store, f"{prefix}.proj_v", c, c, 1, pad="valid")
+        self.proj_out = nn.Conv2d(store, f"{prefix}.proj_out", c, c, 1, pad="valid")
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         n, h, w, c = x.shape
@@ -102,14 +99,13 @@ class HvdaAttention:
 class DetailsTransformerBlock:
     """Two chained pre-norm submodules: x += attn(LN(x)); x += MLP(LN(x))."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 c: int, detail: bool = True):
+    def __init__(self, store: ParamStore, prefix: str, c: int, detail: bool = True):
         self.subs = []
         for s in (1, 2):
             ln1 = nn.LayerNorm(store, f"{prefix}.sub{s}.ln1", c)
-            attn = HvdaAttention(store, f"{prefix}.sub{s}.attn", rng, c, detail=detail)
+            attn = HvdaAttention(store, f"{prefix}.sub{s}.attn", c, detail=detail)
             ln2 = nn.LayerNorm(store, f"{prefix}.sub{s}.ln2", c)
-            mlp = nn.Mlp(store, f"{prefix}.sub{s}.mlp", rng, c)
+            mlp = nn.Mlp(store, f"{prefix}.sub{s}.mlp", c)
             self.subs.append((ln1, attn, ln2, mlp))
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:

@@ -48,7 +48,7 @@ class ModelConfig:
     num_classes: int = 4
     base_width: int = 16
     variant: str = "full"
-    seed: int = 0
+    seed: int = 0  # of the parameter store's generator, which draws every random initial value
 
     def validate(self) -> None:
         if self.h % 32 or self.w % 32 or self.h < 32 or self.w < 32:
@@ -62,6 +62,8 @@ class ModelConfig:
             raise ConfigError(f"base_width must be >= 1, got {self.base_width}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant {self.variant!r} not one of {VARIANTS}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def stage_widths(self) -> list[int]:
@@ -95,17 +97,15 @@ class RdteUnet:
     def __init__(self, config: ModelConfig):
         config.validate()
         self.config = config
-        self.store = ParamStore()
+        self.store = ParamStore(config.seed)
         self.step = 0
-        rng = np.random.default_rng(config.seed)
         b = config.base_width
         widths = config.stage_widths  # stage block widths, shallow to deep
 
         if config.variant == "no_asbe":
-            self.stem = nn.Conv2d(self.store, "stem.conv", rng, config.in_channels, b, 3,
-                                  pad="same")
+            self.stem = nn.Conv2d(self.store, "stem.conv", config.in_channels, b, 3, pad="same")
         else:
-            self.stem = AsbeStem(self.store, "stem", rng, config.in_channels, c_stem=b,
+            self.stem = AsbeStem(self.store, "stem", config.in_channels, c_stem=b,
                                  c_mid=max(2, b // 2))
 
         detail = config.variant != "no_hvda"
@@ -113,12 +113,11 @@ class RdteUnet:
         self.down = []
         for i, wd in enumerate(widths, start=1):
             if i <= 3:
-                blk = nn.ResBlock(self.store, f"enc{i}.block", rng, wd)
+                blk = nn.ResBlock(self.store, f"enc{i}.block", wd)
             else:
-                blk = DetailsTransformerBlock(self.store, f"enc{i}.block", rng, wd,
-                                              detail=detail)
+                blk = DetailsTransformerBlock(self.store, f"enc{i}.block", wd, detail=detail)
             self.enc_blocks.append(blk)
-            self.down.append(nn.Conv2d(self.store, f"enc{i}.down", rng, wd, 2 * wd, 2,
+            self.down.append(nn.Conv2d(self.store, f"enc{i}.down", wd, 2 * wd, 2,
                                        stride=2, pad="valid"))
 
         self.up = []
@@ -126,16 +125,15 @@ class RdteUnet:
         self.dec_blocks = []
         for i in range(5, 0, -1):
             wd = widths[i - 1]
-            self.up.append(nn.ConvTranspose2x2(self.store, f"dec{i}.up", rng, 2 * wd, wd))
+            self.up.append(nn.ConvTranspose2x2(self.store, f"dec{i}.up", 2 * wd, wd))
             if config.variant == "no_eulerff":
-                self.fuse.append(ConcatFusion(self.store, f"dec{i}.fuse", rng, wd))
+                self.fuse.append(ConcatFusion(self.store, f"dec{i}.fuse", wd))
             else:
-                self.fuse.append(EulerFusion(self.store, f"dec{i}.fuse", rng, wd))
+                self.fuse.append(EulerFusion(self.store, f"dec{i}.fuse", wd))
             if i >= 4:
-                blk = DetailsTransformerBlock(self.store, f"dec{i}.block", rng, wd,
-                                              detail=detail)
+                blk = DetailsTransformerBlock(self.store, f"dec{i}.block", wd, detail=detail)
             else:
-                blk = nn.ResBlock(self.store, f"dec{i}.block", rng, wd)
+                blk = nn.ResBlock(self.store, f"dec{i}.block", wd)
             self.dec_blocks.append(blk)
 
         # the trunk has no normalization of its own between stem and head, so
@@ -143,12 +141,12 @@ class RdteUnet:
         # until logits diverge; one LayerNorm in front of the head removes
         # that incentive without introducing a train/eval statistics gap
         self.final_norm = nn.LayerNorm(self.store, "final_norm", b)
-        self.head = nn.Conv2d(self.store, "head", rng, b, config.num_classes, 1, pad="valid")
+        self.head = nn.Conv2d(self.store, "head", b, config.num_classes, 1, pad="valid")
 
         # residual-terminal layers start at zero so every block opens as an
         # identity map; with Kaiming everywhere the ten-block residual chain
         # multiplies activation variance until the loss diverges at this depth;
-        # their draws were taken from rng all the same, so later layers' are unmoved
+        # the store still draws the values these replace, so later layers' are unmoved
         for name in self.store.names():
             if name.endswith(".attn.proj_out.w") or name.endswith(".mlp.fc2.w") \
                     or name.endswith(".block.bn2.gamma"):

@@ -16,8 +16,6 @@ with implicit padding, so it costs only the products that touch real pixels.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensor as T
@@ -34,42 +32,15 @@ from .tensor import (
 )
 
 
-class UniformDraw:
-    """Deferred U(-bound, bound) values of `shape`: built with the caller's
-    generator, drawn when `write` casts them into a parameter slot.
-
-    Construction saves the generator's state and moves the generator past the
-    draw (PCG64 spends one 64-bit output per uniform double), so the values
-    and the caller's later draws equal those of drawing at once.
-    """
-
-    def __init__(self, rng: np.random.Generator, shape, bound: float):
-        bg = rng.bit_generator
-        if not isinstance(bg, np.random.PCG64):
-            raise ConfigError(f"deferred draws need a PCG64 generator, got {type(bg).__name__}")
-        self.shape = tuple(shape)
-        self.bound = bound
-        self.state = bg.state
-        bg.advance(math.prod(self.shape))
-        if self.state["has_uint32"]:  # advance drops the buffered 32-bit half a draw keeps
-            moved = bg.state
-            moved.update(has_uint32=1, uinteger=self.state["uinteger"])
-            bg.state = moved
-
-    def write(self, out: np.ndarray) -> None:
-        bg = np.random.PCG64(0)
-        bg.state = self.state
-        out[...] = np.random.Generator(bg).uniform(-self.bound, self.bound, size=self.shape)
-
-
-def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, gain: float) -> UniformDraw:
-    """Fan-in uniform init with selectable variance gain, as a deferred draw.
+def kaiming_uniform(shape, fan_in: int, gain: float) -> T.Uniform:
+    """Fan-in uniform init with selectable variance gain, declared for the
+    store to draw.
 
     gain=2 is the ReLU-calibrated setting for layers a norm follows anyway;
     norm-free layers use gain=1 so the unnormalized conv chain neither
     explodes nor collapses with depth.
     """
-    return UniformDraw(rng, shape, float(np.sqrt(3.0 * gain / fan_in)))
+    return T.Uniform(shape, float(np.sqrt(3.0 * gain / fan_in)))
 
 
 def _same_pad(k: int) -> tuple[int, int]:
@@ -309,8 +280,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 class Conv2d:
     """Convolution layer whose weights live in a ParamStore under `prefix`."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 cin: int, cout: int, kh: int, kw: int | None = None, *,
+    def __init__(self, store: ParamStore, prefix: str, cin: int, cout: int, kh: int,
+                 kw: int | None = None, *,
                  stride: int = 1, pad="same", groups: int = 1, bias: bool = True,
                  init_gain: float = 1.0):
         kw = kh if kw is None else kw
@@ -327,7 +298,7 @@ class Conv2d:
         self.w_name = f"{prefix}.w"
         self.b_name = f"{prefix}.b" if bias else None
         store.add(self.w_name,
-                  kaiming_uniform(rng, (kh, kw, cin // groups, cout), fan_in, init_gain))
+                  kaiming_uniform((kh, kw, cin // groups, cout), fan_in, init_gain))
         if bias:
             store.add(self.b_name, T.Fill((cout,), 0.0))
         self.store = store
@@ -341,11 +312,10 @@ class Conv2d:
 class ConvTranspose2x2:
     """2x2 stride-2 upsampling conv; doubles spatial dims."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 cin: int, cout: int):
+    def __init__(self, store: ParamStore, prefix: str, cin: int, cout: int):
         self.w_name = f"{prefix}.w"
         self.b_name = f"{prefix}.b"
-        store.add(self.w_name, kaiming_uniform(rng, (2, 2, cout, cin), cin, gain=1.0))
+        store.add(self.w_name, kaiming_uniform((2, 2, cout, cin), cin, gain=1.0))
         store.add(self.b_name, T.Fill((cout,), 0.0))
         self.store = store
 
@@ -391,9 +361,9 @@ class LayerNorm:
 class Mlp:
     """Per-position channel MLP: 1x1 conv to 4 * c, SiLU, 1x1 conv back to c."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
-        self.fc1 = Conv2d(store, f"{prefix}.fc1", rng, c, 4 * c, 1, pad="valid")
-        self.fc2 = Conv2d(store, f"{prefix}.fc2", rng, 4 * c, c, 1, pad="valid")
+    def __init__(self, store: ParamStore, prefix: str, c: int):
+        self.fc1 = Conv2d(store, f"{prefix}.fc1", c, 4 * c, 1, pad="valid")
+        self.fc2 = Conv2d(store, f"{prefix}.fc2", 4 * c, c, 1, pad="valid")
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(silu(self.fc1(x)))
@@ -404,10 +374,10 @@ class ResBlock:
     y = ReLU(BN(conv(ReLU(BN(conv(x))))) + x); channels preserved.
     The convs have no bias: the BN's mean subtraction would cancel it."""
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator, c: int):
-        self.conv1 = Conv2d(store, f"{prefix}.conv1", rng, c, c, 3, bias=False, init_gain=2.0)
+    def __init__(self, store: ParamStore, prefix: str, c: int):
+        self.conv1 = Conv2d(store, f"{prefix}.conv1", c, c, 3, bias=False, init_gain=2.0)
         self.bn1 = BatchNorm(store, f"{prefix}.bn1", c)
-        self.conv2 = Conv2d(store, f"{prefix}.conv2", rng, c, c, 3, bias=False, init_gain=2.0)
+        self.conv2 = Conv2d(store, f"{prefix}.conv2", c, c, 3, bias=False, init_gain=2.0)
         self.bn2 = BatchNorm(store, f"{prefix}.bn2", c)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import nn
 from . import tensor as T
 from .tensor import ConfigError, ParamStore, ShapeError, Tensor
@@ -53,8 +51,8 @@ class StairConv:
     its stair_pads extents. No conv has a bias: the BN after it would cancel it.
     """
 
-    def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
-                 axis: str, cin: int, cout: int, k: int = 3):
+    def __init__(self, store: ParamStore, prefix: str, axis: str, cin: int,
+                 cout: int, k: int = 3):
         if axis not in _SIDES:
             raise ConfigError(f"axis must be horizontal or vertical, got {axis!r}")
         if k < 1:
@@ -65,11 +63,11 @@ class StairConv:
         for level in (1, 2):
             for side in _SIDES[axis]:
                 name = f"{prefix}.b{level}_{side}"
-                conv = nn.Conv2d(store, f"{name}.conv", rng, cin, cb, level * k,
+                conv = nn.Conv2d(store, f"{name}.conv", cin, cb, level * k,
                                  pad=stair_pads(axis, level, side, k), bias=False,
                                  init_gain=2.0)
                 self.branches.append((conv, nn.BatchNorm(store, f"{name}.bn", cb)))
-        self.fuse_conv = nn.Conv2d(store, f"{prefix}.fuse.conv", rng, 4 * cb, cout,
+        self.fuse_conv = nn.Conv2d(store, f"{prefix}.fuse.conv", 4 * cb, cout,
                                    2, pad="valid", bias=False, init_gain=2.0)
         self.fuse_bn = nn.BatchNorm(store, f"{prefix}.fuse.bn", cout)
 

@@ -5,14 +5,16 @@ Layout is row-major with channels last: 4-D feature maps are
 producing new values means producing new Tensors. The element dtype is
 float32 by contract; a float64 switch exists to tighten gradient checks.
 
-One exception to immutability is the parameter arena. A ParamStore's `add`
-declares a parameter, its shape and its initial value, and allocates or
-draws nothing. The first read of a value, a gradient or `arena()` allocates
-one flat value arena and one flat grad arena and writes every initial value
-straight into its slot; a loaded checkpoint is read into a fresh value arena
-that the store adopts instead, so no initial value is computed. From then
-on every parameter value is a read-only Tensor view into the value arena,
-and every gradient a writable view into the grad arena.
+One exception to immutability is the parameter arena. A ParamStore owns
+the seed of its initial values. Its `add` declares a parameter, its shape
+and its initial value, and allocates or draws nothing. The first read of a
+value, a gradient or `arena()` allocates one flat value arena and one flat
+grad arena and writes every initial value straight into its slot, drawing
+the random ones from one generator of that seed in add order; a loaded
+checkpoint is read into a fresh value arena that the store adopts instead,
+so no initial value is computed. From then on every parameter value is a
+read-only Tensor view into the value arena, and every gradient a writable
+view into the grad arena.
 The optimizer is the single writer of the value arena and writes it only
 between steps, so a value read during a forward and backward stays fixed
 for that step. A caller that keeps a parameter value across a step copies it.
@@ -289,6 +291,13 @@ class Fill:
         out.fill(self.value)
 
 
+@dataclass(frozen=True)
+class Uniform:
+    """A random initial value: U(-bound, bound) over `shape`, drawn by the store."""
+    shape: tuple[int, ...]
+    bound: float
+
+
 @dataclass
 class Param:
     value: Tensor
@@ -299,12 +308,13 @@ class ParamStore:
     """Named trainable tensors with gradients, plus non-trainable buffers.
 
     `add(name, init)` declares a parameter by its initial value: a Tensor, a
-    `Fill`, or a deferred draw such as `nn.kaiming_uniform`'s (anything with
-    `shape` and `write(out)`). The first read of any value or gradient, or
-    `arena()`, allocates the value and grad arenas of the store's dtype once,
-    in the order of `names()`: draws and fills are written into their slots,
-    grads start at zero, and later `add`s are refused. `adopt` installs a
-    ready value arena instead, so no initial value is ever computed.
+    `Fill` or a `Uniform`. The store owns the seed of the random ones. The
+    first read of any value or gradient, or `arena()`, allocates the value
+    and grad arenas of the store's dtype once, in the order of `names()`:
+    fills are written into their slots, and every `Uniform` is drawn into
+    its slot, in add order, from one `np.random.default_rng(seed)`; grads
+    start at zero, and later `add`s are refused. `adopt` installs a ready
+    value arena instead, so no initial value is ever computed or drawn.
 
     A Tensor given to `add` or `set_value` is exactly what the next forward
     reads; its data enters the arena at the next `arena()` call.
@@ -314,10 +324,13 @@ class ParamStore:
     and checkpointed alongside params.
     """
 
-    def __init__(self):
+    def __init__(self, seed: int):
+        self.seed = seed
         self.dtype = default_dtype()
         # before the arenas exist, a param's value is its initial value and its grad None
         self._params: dict[str, Param] = {}
+        # every Uniform given to `add`, drawn in add order even if `set_value` replaced it
+        self._draws: dict[str, Uniform] = {}
         self._buffers: dict[str, np.ndarray | Fill] = {}
         self._values: np.ndarray | None = None
         self._grads: np.ndarray | None = None
@@ -333,6 +346,8 @@ class ParamStore:
         if self._values is not None:
             raise ConfigError(f"cannot add parameter {name!r}: the store is packed")
         self._params[name] = Param(init, None)
+        if isinstance(init, Uniform):
+            self._draws[name] = init
         return init
 
     def add_buffer(self, name: str, init: Fill) -> None:
@@ -357,20 +372,21 @@ class ParamStore:
 
     def set_value(self, name: str, value) -> None:
         """Make `value` the parameter's value and zero its gradient. Before
-        the arenas exist, `value` may also be a `Fill` or a draw: it replaces
-        the initial value, and nothing is allocated or drawn."""
+        the arenas exist, `value` may also be a `Fill`: it replaces the
+        initial value, and nothing is allocated or drawn. A replaced
+        `Uniform` is still drawn, so the draws after it do not move."""
         p = self._params[name]
         if value.shape != p.value.shape:
             raise ShapeError(
                 f"param {name!r}: expected shape {p.value.shape}, got {value.shape}"
             )
-        if self._values is None:
-            p.value = value
-            return
-        if not isinstance(value, Tensor):
-            raise ConfigError(f"param {name!r}: the arena exists, so only a Tensor can be set")
+        packed = self._values is not None
+        if not isinstance(value, Tensor if packed else (Tensor, Fill)):
+            raise ConfigError(f"param {name!r}: only a Tensor can be set, "
+                              f"or a Fill before the arena exists")
         p.value = value
-        p.grad.fill(0)
+        if packed:
+            p.grad.fill(0)
 
     def arena(self) -> tuple[np.ndarray, np.ndarray]:
         """The flat value and grad arenas. Each call first copies into the
@@ -393,16 +409,22 @@ class ParamStore:
 
     def _allocate(self) -> None:
         """Allocate both arenas once and write every initial value into its
-        slot, in add order; a given Tensor stays the value read until `arena()`."""
+        slot, in add order, drawing each `Uniform` in float64 from one
+        generator of the store's seed; a given Tensor stays the value read
+        until `arena()`."""
         if self._values is not None:
             return
         inits = [p.value for p in self._params.values()]
         n = self.n_scalars()
         self._install(np.empty(n, self.dtype), np.zeros(n, self.dtype))
-        for p, init, (slot, _) in zip(self._params.values(), inits, self._slots):
+        rng = np.random.default_rng(self.seed)
+        for (name, p), init, (slot, _) in zip(self._params.items(), inits, self._slots):
+            draw = self._draws.get(name)
+            if draw is not None:
+                slot[...] = rng.uniform(-draw.bound, draw.bound, size=draw.shape)
             if isinstance(init, Tensor):
                 p.value = init
-            else:
+            elif isinstance(init, Fill):
                 init.write(slot)
 
     def _install(self, values: np.ndarray, grads: np.ndarray) -> None:
@@ -623,12 +645,11 @@ def tsum(a: Tensor) -> Tensor:
     return _rec(out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),))
 
 
-def sum_axes(a: Tensor, axes: tuple[int, ...], keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axes, keepdims=keepdims))
+def sum_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
+    out = Tensor(a.data.sum(axis=axes))
 
     def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
+        g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
 
     return _rec(out, (a,), bw)
@@ -639,15 +660,15 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _rec(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join along the last (channel) axis."""
     if not parts:
         raise ShapeError("concat of zero tensors")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    splits = np.cumsum([p.shape[-1] for p in parts])[:-1]
 
     def bw(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=-1))
 
     return _rec(out, tuple(parts), bw)
 

@@ -12,8 +12,8 @@ def rx(shape, seed=0, scale=1.0):
 
 
 def make_arconv(c=2, seed=0):
-    store = ParamStore()
-    ar = ab.ArConv(store, "ar", np.random.default_rng(seed), c)
+    store = ParamStore(seed)
+    ar = ab.ArConv(store, "ar", c)
     return ar, store
 
 
@@ -72,8 +72,8 @@ def test_arconv_sizes_within_bounds():
 # stem
 
 def make_stem(cin=1, c_stem=16, seed=20):
-    store = ParamStore()
-    stem = ab.AsbeStem(store, "stem", np.random.default_rng(seed), cin, c_stem=c_stem, c_mid=8)
+    store = ParamStore(seed)
+    stem = ab.AsbeStem(store, "stem", cin, c_stem=c_stem, c_mid=8)
     return stem, store
 
 

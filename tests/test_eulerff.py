@@ -12,8 +12,8 @@ def rx(shape, seed=0, scale=1.0):
 
 
 def make_stream(c=3, seed=0):
-    store = ParamStore()
-    stream = ef.EulerStream(store, "st", np.random.default_rng(seed), c)
+    store = ParamStore(seed)
+    stream = ef.EulerStream(store, "st", c)
     return stream, store
 
 
@@ -102,8 +102,8 @@ def test_grouped_conv_sees_own_pair_only():
 # fusion
 
 def make_fusion(c=2, seed=30):
-    store = ParamStore()
-    fuse = ef.EulerFusion(store, "ff", np.random.default_rng(seed), c)
+    store = ParamStore(seed)
+    fuse = ef.EulerFusion(store, "ff", c)
     return fuse, store
 
 
@@ -138,8 +138,8 @@ def test_fusion_symmetric_weights_equal_streams():
 
 
 def test_concat_fusion_ablation():
-    store = ParamStore()
-    cf = ef.ConcatFusion(store, "cf", np.random.default_rng(37), 3)
+    store = ParamStore(37)
+    cf = ef.ConcatFusion(store, "cf", 3)
     xs, xd = rx((1, 4, 4, 3), 38), rx((1, 4, 4, 3), 39)
     assert cf(xs, xd).shape == xd.shape
     with pytest.raises(ShapeError):

@@ -12,14 +12,14 @@ def rx(shape, seed=0, scale=1.0):
 
 
 def make_branch(c=4, seed=0):
-    store = ParamStore()
-    branch = hv.HvdaBranch(store, "br", np.random.default_rng(seed), c)
+    store = ParamStore(seed)
+    branch = hv.HvdaBranch(store, "br", c)
     return branch, store
 
 
 def make_attn(c=4, seed=0, detail=True):
-    store = ParamStore()
-    attn = hv.HvdaAttention(store, "at", np.random.default_rng(seed), c, detail=detail)
+    store = ParamStore(seed)
+    attn = hv.HvdaAttention(store, "at", c, detail=detail)
     return attn, store
 
 
@@ -149,9 +149,8 @@ def test_attention_gsa_variant_runs():
 # details transformer block
 
 def make_block(c=4, seed=30, detail=True):
-    store = ParamStore()
-    blk = hv.DetailsTransformerBlock(store, "dtb", np.random.default_rng(seed), c,
-                                     detail=detail)
+    store = ParamStore(seed)
+    blk = hv.DetailsTransformerBlock(store, "dtb", c, detail=detail)
     return blk, store
 
 
@@ -175,8 +174,8 @@ def test_block_identity_when_projections_zeroed():
 def test_block_param_gradcheck_spot():
     # gradient w.r.t. a deep branch conv weight, via a wrapped scalar function
     with T.using_dtype(np.float64):
-        store = ParamStore()
-        blk = hv.DetailsTransformerBlock(store, "dtb", np.random.default_rng(37), 2)
+        store = ParamStore(37)
+        blk = hv.DetailsTransformerBlock(store, "dtb", 2)
         x = rx((1, 4, 4, 2), 38)
         probe = rx((1, 4, 4, 2), 39)
         name = "dtb.sub1.attn.branch_v.stair_h.b1_right.conv.w"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import rdteunet.model as M
-import rdteunet.nn as nn
 import rdteunet.tensor as T
 from rdteunet.tensor import (
     ConfigError,
@@ -35,6 +34,8 @@ def test_config_rejects_bad_sizes():
         M.ModelConfig(h=64, w=64, num_classes=1).validate()
     with pytest.raises(ConfigError):
         M.ModelConfig(h=64, w=64, variant="bogus").validate()
+    with pytest.raises(ConfigError):
+        M.ModelConfig(h=64, w=64, seed=-1).validate()
 
 
 def test_config_dict_roundtrip_strict():
@@ -189,7 +190,7 @@ def test_loss_positive_unless_exact():
 # optimizer
 
 def test_adam_descends_quadratic():
-    store = T.ParamStore()
+    store = T.ParamStore(0)
     target = np.asarray([1.0, -2.0, 0.5], dtype=np.float32)
     store.add("w", Tensor(np.zeros(3, dtype=np.float32)))
     opt = M.Adam(store, lr=0.05)
@@ -204,7 +205,7 @@ def test_adam_descends_quadratic():
 
 @pytest.mark.parametrize("max_norm", [-1.0, 0.0, np.nan])
 def test_clip_grad_norm_rejects_non_positive_max_norm(max_norm):
-    store = T.ParamStore()
+    store = T.ParamStore(0)
     store.add("a", Tensor(np.full(3, 2.0, dtype=np.float32)))
     store["a"].grad[...] = [5.0, -3.0, 0.5]
     with pytest.raises(ConfigError, match="max_norm"):
@@ -214,7 +215,7 @@ def test_clip_grad_norm_rejects_non_positive_max_norm(max_norm):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_clip_grad_norm_rejects_non_finite_grad(bad):
-    store = T.ParamStore()
+    store = T.ParamStore(0)
     for name in ("a", "b", "c"):
         store.add(name, Tensor(np.full(3, 2.0, dtype=np.float32)))
     for name in ("a", "b", "c"):
@@ -233,7 +234,7 @@ def test_clip_grad_norm_rejects_non_finite_grad(bad):
 def _ragged_store(rng, scale=None):
     """Three params over four arena blocks, the last one ragged."""
     b = M.ARENA_BLOCK
-    store = T.ParamStore()
+    store = T.ParamStore(0)
     shapes = {"a": (b + 5,), "b": (2, b - 7), "c": (3, 41)}
     for name, shape in shapes.items():
         store.add(name, T.zeros(shape))
@@ -343,10 +344,10 @@ def test_blocked_adam_equals_per_tensor_adam(dtype, between, tmp_path):
 
 
 def test_adam_refuses_a_store_of_another_size():
-    store = T.ParamStore()
+    store = T.ParamStore(0)
     store.add("w", T.zeros((3,)))
     opt = M.Adam(store)
-    other = T.ParamStore()
+    other = T.ParamStore(0)
     other.add("w", T.zeros((4,)))
     opt.store = other
     with pytest.raises(ConfigError, match="moments"):
@@ -375,10 +376,11 @@ def test_checkpoint_load_computes_no_initial_value(tmp_path, monkeypatch):
     before = model(x).data
     M.save_checkpoint(model, tmp_path / "m.rdtc")
 
-    def refuse(draw, out):
-        raise AssertionError(f"an initial value of shape {draw.shape} was drawn")
+    def refuse(seed):
+        raise AssertionError(f"a generator of seed {seed} was made to draw initial values")
 
-    monkeypatch.setattr(nn.UniformDraw, "write", refuse)
+    # the one generator a ParamStore makes, in `_allocate`, to draw its initial values
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     again = M.load_checkpoint(tmp_path / "m.rdtc")
     assert np.array_equal(again(x).data, before)
 

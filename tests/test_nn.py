@@ -395,8 +395,8 @@ def test_ln_gradcheck():
 # mlp / res blocks
 
 def test_mlp_zero_weights_zero_output():
-    store = ParamStore()
-    mlp = nn.Mlp(store, "mlp", np.random.default_rng(80), 3)
+    store = ParamStore(80)
+    mlp = nn.Mlp(store, "mlp", 3)
     for name in store.names():
         store.set_value(name, T.zeros(store.value(name).shape))
     y = mlp(rt((1, 2, 2, 3), 81))
@@ -414,8 +414,8 @@ def test_mlp_identity_configuration():
     w2 = np.zeros((1, 1, hidden, c), dtype=np.float32)
     w2[0, 0, :c, :c] = np.eye(c)
     b2 = np.full(c, -shift, dtype=np.float32)
-    store = ParamStore()
-    mlp = nn.Mlp(store, "mlp", np.random.default_rng(80), c)
+    store = ParamStore(80)
+    mlp = nn.Mlp(store, "mlp", c)
     for name, v in (("fc1.w", w1), ("fc1.b", b1), ("fc2.w", w2), ("fc2.b", b2)):
         store.set_value(f"mlp.{name}", Tensor(v))
     x = rt((1, 3, 3, c), 82, scale=0.5)
@@ -424,9 +424,8 @@ def test_mlp_identity_configuration():
 
 def test_mlp_gradcheck():
     with T.using_dtype(np.float64):
-        store = ParamStore()
-        rng = np.random.default_rng(83)
-        mlp = nn.Mlp(store, "mlp", rng, 4)
+        store = ParamStore(83)
+        mlp = nn.Mlp(store, "mlp", 4)
         x = rt((1, 2, 2, 4), 84)
 
         def f(v):
@@ -437,9 +436,8 @@ def test_mlp_gradcheck():
 
 
 def test_res_block_shortcut_only():
-    store = ParamStore()
-    rng = np.random.default_rng(91)
-    blk = nn.ResBlock(store, "rb", rng, 3)
+    store = ParamStore(91)
+    blk = nn.ResBlock(store, "rb", 3)
     for name in ("rb.conv1.w", "rb.conv2.w"):
         store.set_value(name, T.zeros(store.value(name).shape))
     x = rt((1, 4, 4, 3), 92)
@@ -449,8 +447,8 @@ def test_res_block_shortcut_only():
 
 def test_res_block_shape_and_gradcheck():
     with T.using_dtype(np.float64):
-        store = ParamStore()
-        blk = nn.ResBlock(store, "rb", np.random.default_rng(93), 2)
+        store = ParamStore(93)
+        blk = nn.ResBlock(store, "rb", 2)
         x = rt((1, 4, 4, 2), 94)
         y = blk(x, training=True)
         assert y.shape == x.shape
@@ -463,8 +461,8 @@ def test_res_block_shape_and_gradcheck():
 
 
 def test_param_grads_flow_through_layers():
-    store = ParamStore()
-    blk = nn.ResBlock(store, "rb", np.random.default_rng(95), 2)
+    store = ParamStore(95)
+    blk = nn.ResBlock(store, "rb", 2)
     x = rt((2, 4, 4, 2), 96)
     with Tape() as tape:
         y = blk(x, training=True)
@@ -478,26 +476,10 @@ def test_param_grads_flow_through_layers():
 # ---------------------------------------------------------------------------
 # deferred initial draws
 
-def test_deferred_draw_leaves_the_callers_stream_as_eager_drawing():
-    bound = float(np.sqrt(3.0 * 2.0 / (3 * 3 * 4)))
-    eager = np.random.default_rng(5)
-    first = eager.integers(0, 3)  # keeps half of a 64-bit output buffered
-    want_w = eager.uniform(-bound, bound, size=(3, 3, 4, 6)).astype(np.float32)
-    want_ints, want_normals = eager.integers(0, 3, size=4), eager.standard_normal(3)
-
-    rng = np.random.default_rng(5)
-    assert rng.integers(0, 3) == first
-    store = ParamStore()
-    nn.Conv2d(store, "c", rng, 4, 6, 3, init_gain=2.0)
-    assert np.array_equal(rng.integers(0, 3, size=4), want_ints)
-    assert np.array_equal(rng.standard_normal(3), want_normals)
-    assert np.array_equal(store.value("c.w").data, want_w)
-
-
 def test_deferred_draws_take_the_store_dtype():
     with T.using_dtype(np.float64):
-        store = ParamStore()
-        nn.Conv2d(store, "c", np.random.default_rng(6), 2, 3, 3)
+        store = ParamStore(6)
+        nn.Conv2d(store, "c", 2, 3, 3)
     bound = float(np.sqrt(3.0 * 1.0 / (3 * 3 * 2)))
     want = np.random.default_rng(6).uniform(-bound, bound, size=(3, 3, 2, 3))
     got = store.value("c.w").data  # first read with float32 the default dtype

@@ -34,3 +34,23 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 continue
             outside = [r for r in roots if r not in allowed]
             assert not outside, f"{path.name}:{node.lineno} imports {outside}"
+
+
+def _takes_a_generator(arg: ast.arg) -> bool:
+    return arg.arg == "rng" or (arg.annotation is not None
+                                and "random.Generator" in ast.unparse(arg.annotation))
+
+
+def test_no_layer_takes_a_random_generator():
+    # a ParamStore owns the seed of every initial value; only the data
+    # generator and the gradient suite draw from a generator of their own
+    sources = sorted((ROOT / "src" / "rdteunet").glob("*.py"))
+    for path in sources:
+        if path.stem in ("datasynth", "gradsuite"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                args = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                bad = [x.arg for x in args if x is not None and _takes_a_generator(x)]
+                assert not bad, f"{path.name}:{node.lineno} takes a generator as {bad}"

@@ -73,6 +73,7 @@ MALFORMED = {
     "ckpt-config_deep_nesting": _ckpt_raw(b"[" * 100_000),
     "ckpt-config_h_str": _ckpt_raw(json.dumps({**TINY.to_dict(), "h": "64"}).encode()),
     "ckpt-config_seed_bool": _ckpt(seed=True),
+    "ckpt-config_seed_negative": _ckpt(seed=-1),
     "ckpt-step_str": _ckpt(step="x"),
     "ckpt-entry_shape": _ckpt({"head.w": T.zeros((1, 1, 5, 5))}),
     # at this width one ASBE conv's initial draw alone would need 168 GiB

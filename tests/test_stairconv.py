@@ -8,9 +8,8 @@ from rdteunet.tensor import ConfigError, ParamStore, ShapeError, Tensor
 
 
 def make(axis="horizontal", cin=2, cout=4, k=3, seed=0):
-    store = ParamStore()
-    rng = np.random.default_rng(seed)
-    return sc.StairConv(store, "s", rng, axis, cin, cout, k=k), store
+    store = ParamStore(seed)
+    return sc.StairConv(store, "s", axis, cin, cout, k=k), store
 
 
 def rx(shape, seed=1):
@@ -171,10 +170,8 @@ def test_directional_response_is_one_sided_per_branch():
     # concentrates on that side; centered padding balances the two sides.
     wins, trials = 0, 40
     for t in range(trials):
-        rng = np.random.default_rng(6000 + t)
-        store = ParamStore()
-        stair = sc.StairConv(store, "s", rng, "horizontal", 4, 8, k=3)
-        data = rng.standard_normal((1, 8, 8, 4)).astype(np.float32)
+        stair = sc.StairConv(ParamStore(6000 + t), "s", "horizontal", 4, 8, k=3)
+        data = np.random.default_rng(7000 + t).standard_normal((1, 8, 8, 4)).astype(np.float32)
         x, xs = Tensor(data), Tensor(shift_right(data))
         a_stair = _branch_onesidedness(stair, x, xs)
         _center_pads(stair)
@@ -193,10 +190,8 @@ def test_directional_response_is_one_sided_per_branch():
 def test_fused_translation_response_exceeds_symmetric_baseline():
     wins, trials = 0, 40
     for t in range(trials):
-        rng = np.random.default_rng(6000 + t)
-        store = ParamStore()
-        stair = sc.StairConv(store, "s", rng, "horizontal", 4, 8, k=3)
-        data = rng.standard_normal((1, 8, 8, 4)).astype(np.float32)
+        stair = sc.StairConv(ParamStore(6000 + t), "s", "horizontal", 4, 8, k=3)
+        data = np.random.default_rng(7000 + t).standard_normal((1, 8, 8, 4)).astype(np.float32)
         x, xs = Tensor(data), Tensor(shift_right(data))
         d_stair = np.linalg.norm(stair(x, False).data - stair(xs, False).data)
         _center_pads(stair)
