@@ -39,6 +39,8 @@ class GenSpec:
             raise ConfigError(
                 f"num_classes must be in [2, 4] (background + up to 3 shapes), "
                 f"got {self.num_classes}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -188,8 +190,11 @@ def read_manifest(d) -> dict:
     for key in ("count", "size", "classes", "seed"):
         if type(doc[key]) is not int:
             raise FormatError(f"manifest {key!r} must be an int, got {doc[key]!r}")
-    if doc["count"] < 1:
-        raise FormatError(f"manifest count must be >= 1, got {doc['count']}")
+    try:
+        GenSpec(count=doc["count"], size=doc["size"], num_classes=doc["classes"],
+                seed=doc["seed"]).validate()
+    except ConfigError as e:
+        raise FormatError(f"manifest in {d}: {e}") from e
     return doc
 
 

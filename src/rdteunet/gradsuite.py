@@ -173,7 +173,7 @@ def check_resblock(tol):
 
 def _stair_check(axis, seed, tol):
     store = ParamStore(seed)
-    stair = sc.StairConv(store, "s", axis, 2, 4, k=2)
+    stair = sc.StairConv(store, "s", axis, 2, 4, (4, 4), k=2)
     x = _rx((1, 4, 4, 2), seed + 1)
     probe = _rx((1, 4, 4, 4), seed + 2)
 
@@ -190,7 +190,7 @@ def _stair_check(axis, seed, tol):
 
 def check_hvda_branch(tol):
     store = ParamStore(40)
-    branch = hv.HvdaBranch(store, "br", 2)
+    branch = hv.HvdaBranch(store, "br", 2, (4, 4))
     x = _rx((1, 4, 4, 2), 41)
     probe = _rx((1, 4, 4, 2), 42)
 
@@ -202,7 +202,7 @@ def check_hvda_branch(tol):
 
 def check_hvda_attention(tol):
     store = ParamStore(43)
-    attn = hv.HvdaAttention(store, "at", 2)
+    attn = hv.HvdaAttention(store, "at", 2, (4, 4))
     x = _rx((1, 4, 4, 2), 44)
     probe = _rx((1, 4, 4, 2), 45)
 
@@ -219,7 +219,7 @@ def check_hvda_attention(tol):
 
 def check_details_block(tol):
     store = ParamStore(46)
-    blk = hv.DetailsTransformerBlock(store, "dtb", 4)
+    blk = hv.DetailsTransformerBlock(store, "dtb", 4, (4, 4))
     x = _rx((1, 4, 4, 4), 47)
     probe = _rx((1, 4, 4, 4), 48)
 

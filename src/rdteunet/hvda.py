@@ -22,11 +22,12 @@ HW_CAP = 4096  # most positions an attention map may span (a 64x64 map)
 
 class HvdaBranch:
     """StairConv detail extractor producing one fused c-channel map.
+    Built for one input `extent` (h, w), which its StairConvs need.
     `reduce` and `deep` have no bias: the BN after each would cancel it."""
 
-    def __init__(self, store: ParamStore, prefix: str, c: int):
-        self.stair_h = StairConv(store, f"{prefix}.stair_h", HORIZONTAL, c, c)
-        self.stair_v = StairConv(store, f"{prefix}.stair_v", VERTICAL, c, c)
+    def __init__(self, store: ParamStore, prefix: str, c: int, extent: tuple[int, int]):
+        self.stair_h = StairConv(store, f"{prefix}.stair_h", HORIZONTAL, c, c, extent)
+        self.stair_v = StairConv(store, f"{prefix}.stair_v", VERTICAL, c, c, extent)
         self.reduce = nn.Conv2d(store, f"{prefix}.reduce", 2 * c, c, 1, pad="valid",
                                 bias=False, init_gain=2.0)
         self.bn_reduce = nn.BatchNorm(store, f"{prefix}.bn_reduce", c)
@@ -60,17 +61,19 @@ def attention_from_qkv(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 class HvdaAttention:
     """Spatial self-attention with detail-branch Q/K/V (or plain GSA-style
-    projections when `detail=False`, the ablation substitute). The output
-    carries no residual; the enclosing block adds it. `proj_k` has no bias:
-    q_i * b is constant along softmax row i, so the softmax would cancel it."""
+    projections when `detail=False`, the ablation substitute), built for one
+    input `extent` (h, w). The output carries no residual; the enclosing
+    block adds it. `proj_k` has no bias: q_i * b is constant along softmax
+    row i, so the softmax would cancel it."""
 
-    def __init__(self, store: ParamStore, prefix: str, c: int, detail: bool = True):
+    def __init__(self, store: ParamStore, prefix: str, c: int, extent: tuple[int, int],
+                 detail: bool = True):
         self.c = c
         self.detail = detail
         if detail:
-            self.branch_q = HvdaBranch(store, f"{prefix}.branch_q", c)
-            self.branch_k = HvdaBranch(store, f"{prefix}.branch_k", c)
-            self.branch_v = HvdaBranch(store, f"{prefix}.branch_v", c)
+            self.branch_q = HvdaBranch(store, f"{prefix}.branch_q", c, extent)
+            self.branch_k = HvdaBranch(store, f"{prefix}.branch_k", c, extent)
+            self.branch_v = HvdaBranch(store, f"{prefix}.branch_v", c, extent)
         self.proj_q = nn.Conv2d(store, f"{prefix}.proj_q", c, 1, 1, pad="valid")
         self.proj_k = nn.Conv2d(store, f"{prefix}.proj_k", c, 1, 1, pad="valid",
                                 bias=False)
@@ -97,13 +100,15 @@ class HvdaAttention:
 
 
 class DetailsTransformerBlock:
-    """Two chained pre-norm submodules: x += attn(LN(x)); x += MLP(LN(x))."""
+    """Two chained pre-norm submodules: x += attn(LN(x)); x += MLP(LN(x)),
+    built for one input `extent` (h, w)."""
 
-    def __init__(self, store: ParamStore, prefix: str, c: int, detail: bool = True):
+    def __init__(self, store: ParamStore, prefix: str, c: int, extent: tuple[int, int],
+                 detail: bool = True):
         self.subs = []
         for s in (1, 2):
             ln1 = nn.LayerNorm(store, f"{prefix}.sub{s}.ln1", c)
-            attn = HvdaAttention(store, f"{prefix}.sub{s}.attn", c, detail=detail)
+            attn = HvdaAttention(store, f"{prefix}.sub{s}.attn", c, extent, detail=detail)
             ln2 = nn.LayerNorm(store, f"{prefix}.sub{s}.ln2", c)
             mlp = nn.Mlp(store, f"{prefix}.sub{s}.mlp", c)
             self.subs.append((ln1, attn, ln2, mlp))

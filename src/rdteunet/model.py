@@ -115,7 +115,8 @@ class RdteUnet:
             if i <= 3:
                 blk = nn.ResBlock(self.store, f"enc{i}.block", wd)
             else:
-                blk = DetailsTransformerBlock(self.store, f"enc{i}.block", wd, detail=detail)
+                blk = DetailsTransformerBlock(self.store, f"enc{i}.block", wd,
+                                              self._extent(i), detail=detail)
             self.enc_blocks.append(blk)
             self.down.append(nn.Conv2d(self.store, f"enc{i}.down", wd, 2 * wd, 2,
                                        stride=2, pad="valid"))
@@ -131,7 +132,8 @@ class RdteUnet:
             else:
                 self.fuse.append(EulerFusion(self.store, f"dec{i}.fuse", wd))
             if i >= 4:
-                blk = DetailsTransformerBlock(self.store, f"dec{i}.block", wd, detail=detail)
+                blk = DetailsTransformerBlock(self.store, f"dec{i}.block", wd,
+                                              self._extent(i), detail=detail)
             else:
                 blk = nn.ResBlock(self.store, f"dec{i}.block", wd)
             self.dec_blocks.append(blk)
@@ -151,6 +153,10 @@ class RdteUnet:
             if name.endswith(".attn.proj_out.w") or name.endswith(".mlp.fc2.w") \
                     or name.endswith(".block.bn2.gamma"):
                 self.store.set_value(name, T.Fill(self.store.shape(name), 0.0))
+
+    def _extent(self, stage: int) -> tuple[int, int]:
+        """(h, w) of the feature maps of encoder/decoder stage 1..5."""
+        return self.config.h >> (stage - 1), self.config.w >> (stage - 1)
 
     # ------------------------------------------------------------------
 

@@ -32,15 +32,15 @@ from .tensor import (
 )
 
 
-def kaiming_uniform(shape, fan_in: int, gain: float) -> T.Uniform:
+def kaiming_uniform(shape, fan_in: int, gain: float, window=None) -> T.Uniform:
     """Fan-in uniform init with selectable variance gain, declared for the
-    store to draw.
+    store to draw over `shape`, keeping `window` of it (all when None).
 
     gain=2 is the ReLU-calibrated setting for layers a norm follows anyway;
     norm-free layers use gain=1 so the unnormalized conv chain neither
     explodes nor collapses with depth.
     """
-    return T.Uniform(shape, float(np.sqrt(3.0 * gain / fan_in)))
+    return T.Uniform(shape, float(np.sqrt(3.0 * gain / fan_in)), window)
 
 
 def _same_pad(k: int) -> tuple[int, int]:
@@ -66,6 +66,17 @@ def _tap_spans(out: int, size: int, pad: int, k: int, stride: int) -> list:
         spans.append((slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride))
                      if lo < hi else None)
     return spans
+
+
+def _live_taps(size: int, pad0: int, pad1: int, k: int, stride: int) -> slice:
+    """The kernel offsets on one axis from the first to the last whose span
+    (`_tap_spans`) meets a pixel of an input of `size`."""
+    out = conv_out_extent(size, pad0, pad1, k, stride)
+    live = [t for t, span in enumerate(_tap_spans(out, size, pad0, k, stride)) if span]
+    if not live:
+        raise ConfigError(f"no tap of a {k}-tap kernel with pads ({pad0}, {pad1}) "
+                          f"sees a pixel of an input of extent {size}")
+    return slice(live[0], live[-1] + 1)
 
 
 def _tap_madd(out: np.ndarray, a: np.ndarray, wt: np.ndarray, groups: int) -> None:
@@ -278,12 +289,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # parameterized layer wrappers
 
 class Conv2d:
-    """Convolution layer whose weights live in a ParamStore under `prefix`."""
+    """Convolution layer whose weights live in a ParamStore under `prefix`.
+
+    Given the (h, w) `extent` of every input it will see, the layer keeps
+    only the rectangle of kernel taps from the first to the last row and
+    column that meets a pixel at that extent, and shrinks its pads by the
+    rows and columns it trims. The trimmed taps multiply only padding, so
+    conv2d skips them and they get a zero gradient: the output, the input
+    gradient and every kept weight gradient are bit-identical to the full
+    kernel's. The init keeps the full kernel's fan-in bound and draws the
+    full kernel, keeping the live window, so kept weights match too. At
+    another extent other taps are live, so such an input is refused.
+    """
 
     def __init__(self, store: ParamStore, prefix: str, cin: int, cout: int, kh: int,
                  kw: int | None = None, *,
                  stride: int = 1, pad="same", groups: int = 1, bias: bool = True,
-                 init_gain: float = 1.0):
+                 init_gain: float = 1.0, extent: tuple[int, int] | None = None):
         kw = kh if kw is None else kw
         if pad == "same":
             pt, pb = _same_pad(kh)
@@ -294,16 +316,28 @@ class Conv2d:
         self.stride = stride
         self.pad = tuple(pad)
         self.groups = groups
+        self.extent = None if extent is None else tuple(extent)
+        window = None
+        if extent is not None:
+            pt, pb, pl, pr = self.pad
+            rows = _live_taps(extent[0], pt, pb, kh, stride)
+            cols = _live_taps(extent[1], pl, pr, kw, stride)
+            window = (rows, cols, slice(None), slice(None))
+            self.pad = (pt - rows.start, pb - (kh - rows.stop),
+                        pl - cols.start, pr - (kw - cols.stop))
         fan_in = kh * kw * (cin // groups)
         self.w_name = f"{prefix}.w"
         self.b_name = f"{prefix}.b" if bias else None
-        store.add(self.w_name,
-                  kaiming_uniform((kh, kw, cin // groups, cout), fan_in, init_gain))
+        store.add(self.w_name, kaiming_uniform((kh, kw, cin // groups, cout), fan_in,
+                                               init_gain, window))
         if bias:
             store.add(self.b_name, T.Fill((cout,), 0.0))
         self.store = store
 
     def __call__(self, x: Tensor) -> Tensor:
+        if self.extent is not None and x.shape[1:3] != self.extent:
+            raise ShapeError(f"{self.w_name} keeps the taps live at input extent "
+                             f"{self.extent}, got input {x.shape}")
         b = self.store.value(self.b_name) if self.b_name else None
         return conv2d(x, self.store.value(self.w_name), b,
                       stride=self.stride, pad=self.pad, groups=self.groups)

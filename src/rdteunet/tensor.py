@@ -293,9 +293,25 @@ class Fill:
 
 @dataclass(frozen=True)
 class Uniform:
-    """A random initial value: U(-bound, bound) over `shape`, drawn by the store."""
-    shape: tuple[int, ...]
+    """A random initial value: U(-bound, bound) over the shape `drawn`, drawn
+    by the store, of which the parameter keeps `window`, one slice per axis
+    (the whole draw when None).
+
+    The store draws the full `drawn` shape either way, so a kept value is
+    bit-identical to the one an untrimmed declaration gives that position,
+    and every later draw from the stream is unmoved. A conv layer that
+    stores only its live kernel taps (nn.Conv2d's `extent`) declares its
+    init this way.
+    """
+    drawn: tuple[int, ...]
     bound: float
+    window: tuple[slice, ...] | None = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        if self.window is None:
+            return self.drawn
+        return tuple(len(range(n)[s]) for n, s in zip(self.drawn, self.window))
 
 
 @dataclass
@@ -311,10 +327,11 @@ class ParamStore:
     `Fill` or a `Uniform`. The store owns the seed of the random ones. The
     first read of any value or gradient, or `arena()`, allocates the value
     and grad arenas of the store's dtype once, in the order of `names()`:
-    fills are written into their slots, and every `Uniform` is drawn into
-    its slot, in add order, from one `np.random.default_rng(seed)`; grads
-    start at zero, and later `add`s are refused. `adopt` installs a ready
-    value arena instead, so no initial value is ever computed or drawn.
+    fills are written into their slots, and every `Uniform` is drawn, in
+    add order, from one `np.random.default_rng(seed)` and its kept window
+    written into its slot; grads start at zero, and later `add`s are refused.
+    `adopt` installs a ready value arena instead, so no initial value is
+    ever computed or drawn.
 
     A Tensor given to `add` or `set_value` is exactly what the next forward
     reads; its data enters the arena at the next `arena()` call.
@@ -421,7 +438,8 @@ class ParamStore:
         for (name, p), init, (slot, _) in zip(self._params.items(), inits, self._slots):
             draw = self._draws.get(name)
             if draw is not None:
-                slot[...] = rng.uniform(-draw.bound, draw.bound, size=draw.shape)
+                full = rng.uniform(-draw.bound, draw.bound, size=draw.drawn)
+                slot[...] = full if draw.window is None else full[draw.window]
             if isinstance(init, Tensor):
                 p.value = init
             elif isinstance(init, Fill):

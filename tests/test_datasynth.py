@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,20 @@ def test_spec_validation():
         ds.GenSpec(count=1, size=60).validate()
     with pytest.raises(ConfigError):
         ds.GenSpec(count=1, num_classes=9).validate()
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError):
+        ds.generate(ds.GenSpec(count=1, seed=-1))
+
+
+def test_default_dataset_bytes_are_pinned():
+    # the images and masks of the default spec, which benchmark losses depend on
+    h = hashlib.sha256()
+    for s in ds.generate(ds.GenSpec(count=8, seed=0)):
+        h.update(s.image.data.tobytes())
+        h.update(s.mask.data.tobytes())
+    assert h.hexdigest() == "5ed53113b30e841d3ffa95ce919daf397d325ee970f9e9056ff3b70ca22c50cc"
 
 
 def test_determinism_same_seed():

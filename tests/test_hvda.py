@@ -11,15 +11,15 @@ def rx(shape, seed=0, scale=1.0):
     return Tensor((scale * rng.standard_normal(shape)).astype(T.default_dtype()))
 
 
-def make_branch(c=4, seed=0):
+def make_branch(extent, c=4, seed=0):
     store = ParamStore(seed)
-    branch = hv.HvdaBranch(store, "br", c)
+    branch = hv.HvdaBranch(store, "br", c, extent)
     return branch, store
 
 
-def make_attn(c=4, seed=0, detail=True):
+def make_attn(extent, c=4, seed=0, detail=True):
     store = ParamStore(seed)
-    attn = hv.HvdaAttention(store, "at", c, detail=detail)
+    attn = hv.HvdaAttention(store, "at", c, extent, detail=detail)
     return attn, store
 
 
@@ -27,13 +27,13 @@ def make_attn(c=4, seed=0, detail=True):
 # branch
 
 def test_branch_preserves_shape():
-    branch, _ = make_branch(c=4)
+    branch, _ = make_branch((8, 8), c=4)
     y = branch(rx((1, 8, 8, 4), 1), training=False)
     assert y.shape == (1, 8, 8, 4)
 
 
 def test_branch_zero_input_zero_output():
-    branch, _ = make_branch(c=3)
+    branch, _ = make_branch((5, 5), c=3)
     x = Tensor(np.zeros((1, 5, 5, 3), dtype=np.float32))
     y = branch(x, training=False)
     assert np.allclose(y.data, 0.0, atol=1e-7)
@@ -88,7 +88,7 @@ def test_attention_permutation_equivariance():
 # attention op
 
 def test_attention_op_shape_and_residual():
-    attn, store = make_attn(c=4)
+    attn, store = make_attn((4, 4), c=4)
     x = rx((2, 4, 4, 4), 20)
     assert attn(x, training=False).shape == x.shape
     # the op carries no residual (the block adds it): a zero out-projection
@@ -101,7 +101,7 @@ def test_attention_op_shape_and_residual():
 def test_attention_map_rows_on_module_pipeline():
     # per sample, on the module's own q/k/v maps: every attention-map row sums
     # to one, and the batched op equals proj_out(attention_from_qkv(q, k, v))
-    attn, _ = make_attn(c=3, seed=21)
+    attn, _ = make_attn((3, 3), c=3, seed=21)
     n, h, w, c = 2, 3, 3, 3
     x = rx((n, h, w, c), 22)
     out = attn(x, training=False).data
@@ -118,7 +118,7 @@ def test_attention_map_rows_on_module_pipeline():
 
 
 def test_attention_uniform_limit_through_op():
-    attn, store = make_attn(c=3, seed=23)
+    attn, store = make_attn((3, 3), c=3, seed=23)
     # zero Q/K projections -> uniform B; identity out-projection exposes the mean
     for name in ("at.proj_q.w", "at.proj_q.b", "at.proj_k.w", "at.proj_out.b"):
         store.set_value(name, T.zeros(store.value(name).shape))
@@ -133,13 +133,13 @@ def test_attention_uniform_limit_through_op():
 
 
 def test_attention_hw_cap():
-    attn, _ = make_attn(c=2)
+    attn, _ = make_attn((65, 64), c=2)
     with pytest.raises(ConfigError):  # 65 * 64 positions, one row past the cap
         attn(rx((1, 65, 64, 2), 25), training=False)
 
 
 def test_attention_gsa_variant_runs():
-    attn, store = make_attn(c=4, detail=False)
+    attn, store = make_attn((4, 4), c=4, detail=False)
     assert not any("branch" in n for n in store.names())
     y = attn(rx((1, 4, 4, 4), 26), training=False)
     assert y.shape == (1, 4, 4, 4)
@@ -148,20 +148,20 @@ def test_attention_gsa_variant_runs():
 # ---------------------------------------------------------------------------
 # details transformer block
 
-def make_block(c=4, seed=30, detail=True):
+def make_block(extent, c=4, seed=30, detail=True):
     store = ParamStore(seed)
-    blk = hv.DetailsTransformerBlock(store, "dtb", c, detail=detail)
+    blk = hv.DetailsTransformerBlock(store, "dtb", c, extent, detail=detail)
     return blk, store
 
 
 def test_block_preserves_shape():
-    blk, _ = make_block(c=8)
+    blk, _ = make_block((8, 8), c=8)
     y = blk(rx((1, 8, 8, 8), 31), training=False)
     assert y.shape == (1, 8, 8, 8)
 
 
 def test_block_identity_when_projections_zeroed():
-    blk, store = make_block(c=4, seed=32)
+    blk, store = make_block((4, 4), c=4, seed=32)
     for s in (1, 2):
         for n in (f"dtb.sub{s}.attn.proj_out.w", f"dtb.sub{s}.attn.proj_out.b",
                   f"dtb.sub{s}.mlp.fc2.w", f"dtb.sub{s}.mlp.fc2.b"):
@@ -175,7 +175,7 @@ def test_block_param_gradcheck_spot():
     # gradient w.r.t. a deep branch conv weight, via a wrapped scalar function
     with T.using_dtype(np.float64):
         store = ParamStore(37)
-        blk = hv.DetailsTransformerBlock(store, "dtb", 2)
+        blk = hv.DetailsTransformerBlock(store, "dtb", 2, (4, 4))
         x = rx((1, 4, 4, 2), 38)
         probe = rx((1, 4, 4, 2), 39)
         name = "dtb.sub1.attn.branch_v.stair_h.b1_right.conv.w"

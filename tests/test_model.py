@@ -111,6 +111,17 @@ def test_batch_consistency_eval_mode():
         assert np.allclose(both.data[1], yb.data[0], atol=1e-5)
 
 
+# at the paper config (64x64, base_width 16); declarations only, nothing allocated
+PAPER_N_PARAMETERS = {"full": 61_586_798, "no_asbe": 61_585_356, "no_hvda": 8_054_126,
+                      "no_eulerff": 58_598_894}
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_paper_config_parameter_counts(variant):
+    assert M.RdteUnet(M.ModelConfig(variant=variant)).n_parameters() \
+        == PAPER_N_PARAMETERS[variant]
+
+
 def test_no_eulerff_has_fewer_params():
     full = M.RdteUnet(small_config("full"))
     ablated = M.RdteUnet(small_config("no_eulerff"))
@@ -388,10 +399,10 @@ def test_checkpoint_load_computes_no_initial_value(tmp_path, monkeypatch):
 # SHA-256 of the float32 initial value arena of small_config(variant), as the
 # layers gave it when each drew its weights at construction
 INIT_ARENA_SHA256 = {
-    "full": "11ab1a90de1c71a339384764cd6d235a79730dc089f237e9c7da718103002247",
-    "no_asbe": "7fd4407ca4958a38cda89b00d583909ca3f495affedb21a42f04d41025c5c5f5",
+    "full": "2cf0ad14155e9846d840950ba1058c0732de04253a94ae66b569fc6b657b5824",
+    "no_asbe": "01052c7f992521171ad406469ebfd56a8f728f1a63f295622aacf258af57c220",
     "no_hvda": "b33e641cf634ecc6264e65c6428cb3ea117946545de59b46ef54fa2f39859fb7",
-    "no_eulerff": "c0e7a2745809305b15779c6179304b459604da332c3122c68003b136be76cfbd",
+    "no_eulerff": "94491080db89f7bdf4ab029254ff170c63107bd8891f2376bc384450b53d242d",
 }
 
 

@@ -485,3 +485,69 @@ def test_deferred_draws_take_the_store_dtype():
     got = store.value("c.w").data  # first read with float32 the default dtype
     assert got.dtype == np.float64
     assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# kernels trimmed to the taps that are live at a known input extent
+
+def _live_taps_naive(extent, kernel, pad, stride):
+    """(kh, kw) mask of the taps that multiply at least one real pixel,
+    read off an explicitly padded map of ones."""
+    (h, w), (kh, kw), (pt, pb, pl, pr) = extent, kernel, pad
+    img = np.zeros((h + pt + pb, w + pl + pr))
+    img[pt:pt + h, pl:pl + w] = 1
+    oh, ow = (img.shape[0] - kh) // stride + 1, (img.shape[1] - kw) // stride + 1
+    return np.array([[img[i:i + (oh - 1) * stride + 1:stride,
+                          j:j + (ow - 1) * stride + 1:stride].any() for j in range(kw)]
+                     for i in range(kh)])
+
+
+def _first_last(live):
+    idx = np.flatnonzero(live)
+    return slice(idx[0], idx[-1] + 1)
+
+
+# id -> (input extent, kernel (kh, kw), pad, stride)
+_TRIM_CASES = {
+    **{f"stair_{axis}_2_{side}_{hw}x{hw}": ((hw, hw), (6, 6), sc.stair_pads(axis, 2, side, 3), 1)
+       for hw in (2, 4) for axis, side in (("horizontal", "right"), ("horizontal", "left"),
+                                           ("vertical", "up"), ("vertical", "down"))},
+    "k6_on_4x4_symmetric": ((4, 4), (6, 6), (3, 3, 3, 3), 1),
+    "pad_wider_than_kernel": ((4, 5), (3, 2), (5, 0, 1, 4), 1),
+    "pad_wider_than_kernel_stride2": ((5, 4), (3, 3), (4, 5, 0, 6), 2),
+    "same_3x3": ((4, 4), (3, 3), (1, 1, 1, 1), 1),
+}
+
+
+@pytest.mark.parametrize("extent, kernel, pad, stride", list(_TRIM_CASES.values()),
+                         ids=list(_TRIM_CASES))
+def test_conv_with_extent_keeps_only_the_live_taps(extent, kernel, pad, stride):
+    full_store, store = ParamStore(3), ParamStore(3)
+    full = nn.Conv2d(full_store, "c", 2, 3, *kernel, stride=stride, pad=pad, bias=False)
+    trim = nn.Conv2d(store, "c", 2, 3, *kernel, stride=stride, pad=pad, bias=False,
+                     extent=extent)
+    live = _live_taps_naive(extent, kernel, pad, stride)
+    rows, cols = _first_last(live.any(axis=1)), _first_last(live.any(axis=0))
+    w_full, w = full_store.value("c.w").data, store.value("c.w").data
+    assert np.array_equal(w, w_full[rows, cols])  # the full kernel's draw, windowed
+    kept = _live_taps_naive(extent, w.shape[:2], trim.pad, stride)
+    assert kept.any(axis=1)[[0, -1]].all() and kept.any(axis=0)[[0, -1]].all()
+    if stride == 1:  # at stride 1 the live taps are one rectangle: nothing dead is kept
+        assert kept.all()
+    x = rt((2,) + extent + (2,), seed=4)
+    assert np.array_equal(trim(x).data, full(x).data)
+
+
+def test_conv_with_extent_refuses_another_extent():
+    conv = nn.Conv2d(ParamStore(0), "c", 2, 3, 6, pad=sc.stair_pads("vertical", 2, "up", 3),
+                     bias=False, extent=(4, 4))
+    conv(rt((1, 4, 4, 2)))
+    for shape in ((1, 5, 4, 2), (1, 4, 8, 2), (1, 8, 8, 2)):
+        with pytest.raises(ShapeError):
+            conv(rt(shape))
+
+
+def test_conv_with_extent_refuses_an_input_no_tap_sees():
+    # stride 3 over a 1x1 image padded by 1: the one output's window is a padding row
+    with pytest.raises(ConfigError):
+        nn.Conv2d(ParamStore(0), "c", 1, 1, 1, stride=3, pad=(1, 1, 1, 1), extent=(1, 1))

@@ -86,6 +86,11 @@ MALFORMED = {
     "manifest-number": _raw(b"3"),
     "manifest-count_str": _manifest(count="3"),
     "manifest-count_zero": _manifest(count=0),
+    "manifest-seed_negative": _manifest(seed=-1),
+    "manifest-size_48": _manifest(size=48),
+    "manifest-size_0": _manifest(size=0),
+    "manifest-classes_1": _manifest(classes=1),
+    "manifest-classes_5": _manifest(classes=5),
 }
 
 
