@@ -6,10 +6,14 @@ of an adaptive rectangular convolution whose per-position support size is
 predicted by a small conv stack, and fuses everything through a final 1x1
 conv. The rectangular sampler is an n x n bilinear grid spanning the
 predicted (height, width) rectangle; it is differentiable in the inputs, the
-shared kernel, and the predicted sizes.
+shared kernel, and the predicted sizes. It runs at the full input resolution,
+so it is written as gathers, GEMMs and bincounts over whole grids; its direct
+per-corner form is kept as the test oracle in tests/test_asbe.py.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -22,12 +26,22 @@ R_MAX = 7  # largest predicted rectangle extent; odd, so a rectangle has a cente
 POOL_K = 3  # average-pool window of the boundary cue
 
 
-def _scatter_rows(acc_flat: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    # deterministic per-channel bincount scatter; faster than ufunc.at here
-    n_rows, c = acc_flat.shape
-    for ch in range(c):
-        acc_flat[:, ch] += np.bincount(idx, weights=vals[..., ch].reshape(-1),
-                                       minlength=n_rows).astype(acc_flat.dtype, copy=False)
+def _axis_corners(p: np.ndarray, size: int):
+    """Bilinear corners of sample coordinates `p` along one image axis.
+
+    Returns the fraction p - floor(p) and, per corner offset d in (0, 1),
+    the clipped pixel index, the in-image mask and the corner weight with
+    that mask folded in (zero where the pixel is outside the image).
+    """
+    p0 = np.floor(p)
+    frac = p - p0
+    i0 = p0.astype(np.int64)
+    corners = []
+    for d, wt in ((0, 1 - frac), (1, frac)):
+        i = i0 + d
+        inside = (i >= 0) & (i < size)
+        corners.append((np.clip(i, 0, size - 1), inside, wt * inside))
+    return frac, corners
 
 
 def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -36,6 +50,14 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
     For each position p, an n x n grid spans the sizes[p] = (height, width)
     rectangle centered at p; samples are bilinear with zeros outside the
     image, then mixed by the shared (n, n, c, c_out) kernel, which sets n.
+
+    Grid quantities are laid out (n, n, N, h, w), grid offset first, so each
+    elementwise op runs over whole images. Each of the four bilinear corners
+    is one row gather from the (N*h*w, c) pixel view, weighted by a weight
+    that is zero outside the image. The mixing is one GEMM on the
+    (N*h*w, n*n*c) sample view. The input gradient is one bincount per
+    channel over all corners' pixel indices; the size gradient contracts the
+    channels of each corner first and combines the corners at grid size.
     """
     nb, h, wd, c = x.shape
     if sizes.shape != (nb, h, wd, 2):
@@ -45,70 +67,71 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"kernel shape {w.shape} is not an (n, n, {c}, c_out) grid, n >= 2")
     cout = w.shape[3]
     dt = x.data.dtype
+    m = nb * h * wd
+    nn2 = n_grid * n_grid
+    grid = (n_grid, n_grid, nb, h, wd)
     lin = np.linspace(-1.0, 1.0, n_grid, dtype=dt)
+    lin_u, lin_v = lin[:, None, None, None, None], lin[None, :, None, None, None]
 
     half_h = (sizes.data[..., 0] - 1) * dt.type(0.5)
     half_w = (sizes.data[..., 1] - 1) * dt.type(0.5)
-    base_y = np.arange(h, dtype=dt)[None, :, None]
-    base_x = np.arange(wd, dtype=dt)[None, None, :]
-    # sample coordinates: (nb, h, wd, n, n)
-    py = base_y[..., None, None] + half_h[..., None, None] * lin[:, None]
-    px = base_x[..., None, None] + half_w[..., None, None] * lin[None, :]
+    # sample coordinates: rows (n, 1, nb, h, wd) vary along the grid's first
+    # axis, columns (1, n, nb, h, wd) along its second
+    py = np.arange(h, dtype=dt)[:, None] + half_h * lin_u
+    px = np.arange(wd, dtype=dt) + half_w * lin_v
+    fy, rows = _axis_corners(py, h)
+    fx, cols = _axis_corners(px, wd)
 
-    y0 = np.floor(py)
-    x0 = np.floor(px)
-    fy = py - y0
-    fx = px - x0
-    y0i = y0.astype(np.int64)
-    x0i = x0.astype(np.int64)
-
-    bidx = np.arange(nb, dtype=np.int64)[:, None, None, None, None]
-    corner_vals = []
-    corner_weights = []
-    corner_flat = []
-    xf = x.data.reshape(nb * h * wd, c)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            yi = y0i + dy
-            xi = x0i + dx
-            valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < wd)
-            yc = np.clip(yi, 0, h - 1)
-            xc = np.clip(xi, 0, wd - 1)
-            flat = (bidx * h + yc) * wd + xc
-            v = xf[flat.reshape(-1)].reshape(nb, h, wd, n_grid, n_grid, c)
-            v = v * valid[..., None]
-            wt = (fy if dy else 1 - fy) * (fx if dx else 1 - fx)
-            corner_vals.append(v)
-            corner_weights.append(wt)
-            corner_flat.append((flat, valid))
-
-    samples = sum(wt[..., None] * v for wt, v in zip(corner_weights, corner_vals))
-    out_arr = np.einsum("bhwuvc,uvco->bhwo", samples, w.data, optimize=True) + b.data
+    # per corner (dy, dx) in order 00, 01, 10, 11, flat over the grid: the
+    # row of the (nb*h*wd, c) pixel view, the in-image mask, the masked weight
+    bbase = (np.arange(nb, dtype=np.int64) * h)[:, None, None]
+    flat = np.empty((4,) + grid, dtype=np.int64)
+    inside = np.empty((4,) + grid, dtype=bool)
+    weight = np.empty((4,) + grid, dtype=dt)
+    for k, ((yc, y_in, wy), (xc, x_in, wx)) in enumerate(itertools.product(rows, cols)):
+        np.add((bbase + yc) * wd, xc, out=flat[k])
+        np.logical_and(y_in, x_in, out=inside[k])
+        np.multiply(wy, wx, out=weight[k])
+    flat, inside, weight = (a.reshape(4, -1) for a in (flat, inside, weight))
+    # the four corners' pixels, (4, n*n*m, c), summed in corner order
+    vals = np.take(x.data.reshape(m, c), flat.reshape(-1), axis=0).reshape(4, -1, c)
+    samples = np.einsum("kp,kpc->pc", weight, vals)
+    # (n*n, m, c) -> (m, n*n*c): the kernel's (u, v, c) order per position
+    s2 = samples.reshape(nn2, m, c).transpose(1, 0, 2).reshape(m, nn2 * c)
+    wmat = w.data.reshape(nn2 * c, cout)
+    # (w^T s^T)^T rather than s w: the operand order of einsum's matmul path
+    # for this contraction, so the rounding is the direct form's at every shape
+    out_arr = (wmat.T @ s2.T).T.reshape(nb, h, wd, cout)
+    out_arr += b.data
     out = Tensor(out_arr)
 
     def bw(g):
-        ds = np.einsum("bhwo,uvco->bhwuvc", g, w.data, optimize=True)
-        dw = np.einsum("bhwuvc,bhwo->uvco", samples, g, optimize=True)
+        g2 = g.reshape(m, cout)
+        dw = (g2.T @ s2).T.reshape(w.shape)
         db = g.sum(axis=(0, 1, 2))
+        # sample grads in grid order, as (n*n*m, c) and per channel (n*n, c, m)
+        ds = np.matmul(g2, wmat.reshape(nn2, c, cout).transpose(0, 2, 1)).reshape(-1, c)
+        ds_c = (wmat @ g2.T).reshape(nn2, c, m)
 
-        dx_flat = np.zeros_like(xf)
-        for wt, (flat, valid), _v in zip(corner_weights, corner_flat, corner_vals):
-            contrib = (wt * valid)[..., None] * ds
-            _scatter_rows(dx_flat, flat.reshape(-1), contrib.reshape(-1, c))
-        dx = dx_flat.reshape(nb, h, wd, c)
+        # bincount sums in float64; handing it float64 weights saves a cast per call
+        contrib = np.empty((4, nn2, m), dtype=np.float64)
+        dx = np.empty((m, c), dtype=dt)
+        for ch in range(c):
+            np.multiply(weight.reshape(4, nn2, m), ds_c[:, ch], out=contrib)
+            dx[:, ch] = np.bincount(flat.reshape(-1), weights=contrib.reshape(-1),
+                                    minlength=m)
 
-        v00, v01, v10, v11 = corner_vals
-        d_dfy = (-(1 - fx)[..., None] * v00 - fx[..., None] * v01
-                 + (1 - fx)[..., None] * v10 + fx[..., None] * v11)
-        d_dfx = (-(1 - fy)[..., None] * v00 + (1 - fy)[..., None] * v01
-                 - fy[..., None] * v10 + fy[..., None] * v11)
-        dpy = (ds * d_dfy).sum(axis=-1)
-        dpx = (ds * d_dfx).sum(axis=-1)
+        # e_k: each corner's channel dot with ds, zero outside the image
+        e00, e01, e10, e11 = (
+            (np.einsum("pc,pc->p", ds, vals[k]) * inside[k]).reshape(grid)
+            for k in range(4))
+        dpy = (1 - fx) * (e10 - e00) + fx * (e11 - e01)
+        dpx = (1 - fy) * (e01 - e00) + fy * (e11 - e10)
         # py = y + (sizes_h - 1)/2 * lin[u]; px likewise with lin[v]
-        dhalf_h = (dpy * lin[:, None]).sum(axis=(-2, -1))
-        dhalf_w = (dpx * lin[None, :]).sum(axis=(-2, -1))
+        dhalf_h = (dpy * lin_u).sum(axis=(0, 1))
+        dhalf_w = (dpx * lin_v).sum(axis=(0, 1))
         dsizes = np.stack([dhalf_h, dhalf_w], axis=-1) * dt.type(0.5)
-        return dx, dsizes, dw, db
+        return dx.reshape(x.shape), dsizes, dw, db
 
     return _rec(out, (x, sizes, w, b), bw)
 

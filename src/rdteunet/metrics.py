@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import ConfigError, ShapeError, Tensor
 
 
 def _as_bool(mask) -> np.ndarray:
@@ -40,10 +40,11 @@ def boundary_pixels(mask) -> np.ndarray:
     m = _as_bool(mask)
     if m.ndim != 2:
         raise ShapeError(f"mask must be 2-D, got shape {m.shape}")
-    padded = np.pad(m, 1, constant_values=False)
-    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
-                & padded[1:-1, :-2] & padded[1:-1, 2:])
-    return np.argwhere(m & ~interior)
+    # a mask pixel on the image border is boundary; only the inner block
+    # needs the 4-neighbour test
+    edge = m.copy()
+    edge[1:-1, 1:-1] &= ~(m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:])
+    return np.argwhere(edge)
 
 
 def _percentile_nearest_rank(sorted_vals: np.ndarray, q: float) -> float:
@@ -67,8 +68,9 @@ def hd95_flagged(pred, gt) -> tuple[float, bool]:
     bp = boundary_pixels(p).astype(np.float64)
     bg = boundary_pixels(g).astype(np.float64)
     diff = bp[:, None, :] - bg[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=2))
-    pooled = np.concatenate([d.min(axis=1), d.min(axis=0)])
+    d2 = (diff ** 2).sum(axis=2)
+    # sqrt is monotone and correctly rounded, so it commutes with min
+    pooled = np.sqrt(np.concatenate([d2.min(axis=1), d2.min(axis=0)]))
     pooled.sort()
     return _percentile_nearest_rank(pooled, 0.95), False
 
@@ -140,6 +142,11 @@ def evaluate(forward_fn, samples, num_classes: int, batch: int = 4) -> dict:
     """Per-class one-vs-rest DSC/HD95 over a dataset, reported in the
     tables' shape: per foreground class plus means. A class absent from a
     sample's ground truth skips that sample for that class."""
+    if batch < 1:
+        raise ConfigError(f"evaluate needs batch >= 1, got {batch}")
+    if num_classes < 2:
+        raise ConfigError(f"evaluate needs num_classes >= 2 (background and one "
+                          f"foreground class), got {num_classes}")
     if not samples:
         raise ShapeError("evaluate needs a non-empty dataset")
     per_class: dict[int, dict[str, list]] = {

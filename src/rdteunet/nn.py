@@ -101,7 +101,7 @@ def _tap_weight_grad(out: np.ndarray, a: np.ndarray, g: np.ndarray, groups: int)
     cig, og = a.shape[-1] // groups, g.shape[-1] // groups
     for c in range(cig):
         for o in range(og):
-            out[c, o::og] = (a[..., c::cig] * g[..., o::og]).sum(axis=(0, 1, 2))
+            out[c, o::og] = np.einsum("nhwk,nhwk->k", a[..., c::cig], g[..., o::og])
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,

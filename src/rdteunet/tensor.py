@@ -692,11 +692,20 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def take_channels(a: Tensor, idx: Sequence[int]) -> Tensor:
-    """Gather along the last axis; backward scatter-adds."""
+    """Gather along the last axis.
+
+    When `idx` is a permutation of the channels, the backward gathers with
+    the inverse permutation; for any other list (a subset, repeats) it
+    scatter-adds, so a repeated channel sums its gradients.
+    """
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(a.data[..., idx])
+    out = Tensor(np.take(a.data, idx, axis=-1))
+    is_permutation = np.array_equal(np.sort(idx), np.arange(a.shape[-1]))
+    inverse = np.argsort(idx) if is_permutation else None
 
     def bw(g):
+        if inverse is not None:
+            return (np.take(g, inverse, axis=-1),)
         acc = np.zeros_like(a.data)
         np.add.at(acc, (..., idx), g)
         return (acc,)

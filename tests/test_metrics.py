@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import rdteunet.datasynth as ds
 import rdteunet.metrics as mx
-from rdteunet.tensor import ShapeError, Tensor
+from rdteunet.tensor import ConfigError, ShapeError, Tensor
 
 
 def blank(h=8, w=8):
@@ -122,6 +122,20 @@ def test_oracle_equivalence_200_random_pairs():
         checked += 1
 
 
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2), (3, 17), (17, 3)],
+                         ids=["1x9", "9x1", "2x2", "3x17", "17x3"])
+def test_oracle_equivalence_thin_and_non_square(shape):
+    # masks with no inner block, or one only a pixel thick
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(40):
+        p = rng.random(shape) < rng.uniform(0.2, 0.8)
+        g = rng.random(shape) < rng.uniform(0.2, 0.8)
+        for m in (p, g):
+            assert sorted(map(tuple, mx.boundary_pixels(m).tolist())) == sorted(
+                mx._boundary_oracle(m))
+        assert mx.hd95(p, g) == mx.hd95_oracle(p, g)
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -179,3 +193,20 @@ def test_evaluate_report_json_roundtrip(tmp_path):
     again = json.loads(p.read_text())
     assert again == report
     assert set(again) == {"per_class", "mean_dsc", "mean_hd95", "samples"}
+
+
+@pytest.mark.parametrize("kwargs", [{"batch": 0}, {"batch": -1}, {"num_classes": 1},
+                                    {"num_classes": 0}],
+                         ids=["batch0", "batch_neg", "one_class", "no_class"])
+def test_evaluate_rejects_bad_arguments_before_any_forward(kwargs):
+    samples = ds.generate(ds.GenSpec(count=2, seed=16))
+    calls = []
+
+    def model(x, training=False):
+        calls.append(x.shape)
+        return Tensor(np.zeros((*x.shape[:3], 4), dtype=np.float32))
+
+    args = {"num_classes": 4, "batch": 4, **kwargs}
+    with pytest.raises(ConfigError):
+        mx.evaluate(model, samples, **args)
+    assert calls == []

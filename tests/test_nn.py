@@ -168,6 +168,10 @@ _ORACLE_CASES = {
     "k1": ((2, 5, 4, 3), (1, 1, 3, 4), 1, (0, 0, 0, 0), 1),
     "groups_c_pairs": ((2, 5, 5, 6), (1, 3, 2, 3), 1, (0, 0, 1, 1), 3),
     "groups_2_three_out": ((2, 5, 5, 4), (3, 3, 2, 6), 1, (1, 1, 1, 1), 2),
+    # the grouped layouts the model runs: Euler's vertical (re, im) pair conv
+    # and avg_pool's depthwise 3x3 window
+    "euler_group_v_c8": ((2, 6, 5, 16), (3, 1, 2, 8), 1, (1, 1, 0, 0), 8),
+    "avg_pool_depthwise_c8": ((2, 6, 5, 8), (3, 3, 1, 8), 1, (1, 1, 1, 1), 8),
 }
 
 

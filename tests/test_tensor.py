@@ -400,6 +400,26 @@ def test_take_channels_grad_scatter():
     assert np.array_equal(g, [[1.0, 0.0, 2.0]])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_take_channels_permutation_grad_equals_scatter_add(dtype):
+    # Euler's interleave at c = 16: the inverse-permutation gather must be
+    # bit-equal to scatter-adding the output gradient back
+    c = 16
+    idx = np.arange(2 * c).reshape(2, c).T.reshape(-1)
+    rng = np.random.default_rng(7)
+    with T.using_dtype(dtype):
+        x = Tensor(rng.standard_normal((2, 4, 5, 2 * c)).astype(dtype))
+        probe = rng.standard_normal((2, 4, 5, 2 * c)).astype(dtype)
+        with Tape() as tape:
+            y = T.take_channels(x, idx)
+            g = tape.grad(T.tsum(T.mul(y, Tensor(probe))), [x])[0]
+    assert np.array_equal(y.data, x.data[..., idx])
+    ref = np.zeros_like(x.data)
+    np.add.at(ref, (..., idx), probe)
+    assert g.dtype == dtype
+    assert np.array_equal(g, ref)
+
+
 def test_reshape_grads():
     x = Tensor(np.arange(24.0, dtype=np.float32).reshape(2, 3, 4))
     assert T.reshape(x, (2, 4, 3)).shape == (2, 4, 3)
