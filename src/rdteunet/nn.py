@@ -7,14 +7,21 @@ through the same conv2d; the transposed convolution is the adjoint of the
 
 Both norms run one standardize op, forward and backward: batch norm over
 (N, H, W) per channel, layer norm over the channels at each position. Batch
-norm adds only its running statistics and their eval-mode path.
+norm adds only its running statistics and their eval-mode path. Every sum
+over a map's positions or channels, in the norms and in the affine and bias
+gradients, is one BLAS matrix-vector product (`tensor.gemv_sum`).
 
 Feature maps are NHWC; conv weights are (kh, kw, cin/groups, cout);
 convolution is cross-correlation (no kernel flip), summed over kernel taps
 with implicit padding, so it costs only the products that touch real pixels.
+A dense tap is one GEMM. A grouped convolution runs on channel planes: its
+input is split once per call into cin/groups contiguous planes, one channel
+of every group each, and a tap is an elementwise multiply-add per plane.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -79,29 +86,43 @@ def _live_taps(size: int, pad0: int, pad1: int, k: int, stride: int) -> slice:
     return slice(live[0], live[-1] + 1)
 
 
-def _tap_madd(out: np.ndarray, a: np.ndarray, wt: np.ndarray, groups: int) -> None:
-    """out += (..., cin) inputs times one tap's (cin/groups, cout) weights: one GEMM
-    for groups == 1, else a multiply-add per input/output channel pair of a group."""
-    cig, cout = wt.shape
-    if groups == 1:
-        out += (a.reshape(-1, cig) @ wt).reshape(out.shape)
-        return
-    og = cout // groups
-    for c in range(cig):
-        for o in range(og):
-            out[..., o::og] += a[..., c::cig] * wt[c, o::og]
+def _tap_madd(out: np.ndarray, a: np.ndarray, wt: np.ndarray) -> None:
+    """out += (..., cin) inputs times one tap's (cin, cout) weights, as one GEMM."""
+    out += (a.reshape(-1, wt.shape[0]) @ wt).reshape(out.shape)
 
 
-def _tap_weight_grad(out: np.ndarray, a: np.ndarray, g: np.ndarray, groups: int) -> None:
-    """Write one tap's (cin/groups, cout) weight gradient, from its inputs and
-    output grads, into `out`."""
-    if groups == 1:
-        np.matmul(a.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]), out=out)
-        return
-    cig, og = a.shape[-1] // groups, g.shape[-1] // groups
-    for c in range(cig):
-        for o in range(og):
-            out[c, o::og] = np.einsum("nhwk,nhwk->k", a[..., c::cig], g[..., o::og])
+def _tap_weight_grad(out: np.ndarray, a: np.ndarray, g: np.ndarray) -> None:
+    """Write one tap's (cin, cout) weight gradient, from its inputs and output
+    grads, into `out`."""
+    np.matmul(a.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]), out=out)
+
+
+def _planes(a: np.ndarray, k: int) -> list[np.ndarray]:
+    """The k channel planes a[..., m::k] of a grouped map, each contiguous:
+    plane m holds every group's m-th channel, one channel per group. For
+    k == 1 the plane is `a` itself when it is contiguous."""
+    if k == 1:
+        return [np.ascontiguousarray(a)]
+    return [np.ascontiguousarray(a[..., m::k]) for m in range(k)]
+
+
+def _plane_madd(out: np.ndarray, a: np.ndarray, wv: np.ndarray) -> None:
+    """out += a * wv for (..., w, groups) plane slices and one weight per
+    group: the weights are tiled along the row, so the product runs over
+    each row's w * groups contiguous values instead of one group-long vector
+    at a time."""
+    out += a * np.tile(wv, (a.shape[-2], 1))
+
+
+def _interleave_planes(planes: list[np.ndarray]) -> np.ndarray:
+    """The inverse of `_planes`: the map whose channel g*k + m is plane m's channel g."""
+    if len(planes) == 1:
+        return planes[0]
+    k = len(planes)
+    out = np.empty(planes[0].shape[:-1] + (k * planes[0].shape[-1],), planes[0].dtype)
+    for m, p in enumerate(planes):
+        out[..., m::k] = p
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
@@ -111,6 +132,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     A sum over kernel taps: tap (i, j) multiplies the rectangle of real input
     pixels it sees by w[i, j] into the matching output rectangle, so products
     with padding are skipped and outputs that see only padding get the bias.
+    With groups == 1 each tap is one GEMM. With groups > 1 the input is split
+    once into its cin/groups channel planes (plane m: every group's m-th
+    input channel) and the output into cout/groups planes, each contiguous,
+    so a tap is one elementwise multiply-add per (input, output) plane pair
+    with one weight per group.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d expects NHWC input, got shape {x.shape}")
@@ -135,24 +161,45 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     rows, cols = _tap_spans(oh, h, pt, kh, stride), _tap_spans(ow, wd, pl, kw, stride)
     taps = [(i, j, r, c) for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
     y = np.full((n, oh, ow, cout), 0 if b is None else b.data, dtype=x.data.dtype)
-    for i, j, (ro, ri), (co, ci) in taps:
-        _tap_madd(y[:, ro, co], x.data[:, ri, ci], w.data[i, j], groups)
+    og = cout // groups
+    # per tap, input plane m and output plane q: the (groups,) weights joining them
+    wg = w.data.reshape(kh, kw, cig, groups, og)
+    if groups == 1:
+        for i, j, (ro, ri), (co, ci) in taps:
+            _tap_madd(y[:, ro, co], x.data[:, ri, ci], w.data[i, j])
+    else:
+        xs, ys = _planes(x.data, cig), _planes(y, og)
+        for i, j, (ro, ri), (co, ci) in taps:
+            for m, xm in enumerate(xs):
+                for q, yq in enumerate(ys):
+                    _plane_madd(yq[:, ro, co], xm[:, ri, ci], wg[i, j, m, :, q])
+        y = _interleave_planes(ys)
     out = Tensor(y)
 
     def bw(g):
-        dx = np.zeros(x.shape, dtype=x.data.dtype)
         dw = np.empty(w.shape, dtype=w.data.dtype)
         # taps that see no pixel (a kernel row or column beyond the image) get zeros
         dw[[i for i, r in enumerate(rows) if r is None]] = 0
         dw[:, [j for j, c in enumerate(cols) if c is None]] = 0
-        # per tap, the (cout/groups, cin) weights that map output grads to input grads
-        w_back = w.data.reshape(kh, kw, cig, groups, -1).transpose(0, 1, 4, 3, 2)
-        for i, j, (ro, ri), (co, ci) in taps:
-            _tap_madd(dx[:, ri, ci], g[:, ro, co], w_back[i, j].reshape(-1, cin), groups)
-            _tap_weight_grad(dw[i, j], x.data[:, ri, ci], g[:, ro, co], groups)
+        if groups == 1:
+            dx = np.zeros(x.shape, dtype=x.data.dtype)
+            for i, j, (ro, ri), (co, ci) in taps:
+                _tap_madd(dx[:, ri, ci], g[:, ro, co], w.data[i, j].T)
+                _tap_weight_grad(dw[i, j], x.data[:, ri, ci], g[:, ro, co])
+        else:
+            xs, gs = _planes(x.data, cig), _planes(g, og)
+            dxs = [np.zeros(xm.shape, dtype=x.data.dtype) for xm in xs]
+            dwg = dw.reshape(kh, kw, cig, groups, og)
+            for i, j, (ro, ri), (co, ci) in taps:
+                for m, (xm, dxm) in enumerate(zip(xs, dxs)):
+                    for q, gq in enumerate(gs):
+                        _plane_madd(dxm[:, ri, ci], gq[:, ro, co], wg[i, j, m, :, q])
+                        dwg[i, j, m, :, q] = np.einsum("nhwk,nhwk->k", xm[:, ri, ci],
+                                                       gq[:, ro, co])
+            dx = _interleave_planes(dxs)
         if b is None:
             return dx, dw
-        return dx, dw, g.sum(axis=(0, 1, 2))
+        return dx, dw, T.gemv_sum(g, (0, 1, 2))
 
     inputs = (x, w) if b is None else (x, w, b)
     return _rec(out, inputs, bw)
@@ -180,18 +227,18 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     taps = [(i, j, r, c) for i, r in enumerate(rows) for j, c in enumerate(cols)]
     y = np.full((n, 2 * h, 2 * wd, cout), 0 if b is None else b.data, dtype=x.data.dtype)
     for i, j, (ro, ri), (co, ci) in taps:
-        _tap_madd(y[:, ri, ci], x.data[:, ro, co], w.data[i, j].T, 1)
+        _tap_madd(y[:, ri, ci], x.data[:, ro, co], w.data[i, j].T)
     out = Tensor(y)
 
     def bw(g):
         dx = np.zeros_like(x.data)
         dw = np.empty_like(w.data)  # every one of the four taps is live
         for i, j, (ro, ri), (co, ci) in taps:
-            _tap_madd(dx[:, ro, co], g[:, ri, ci], w.data[i, j], 1)
-            _tap_weight_grad(dw[i, j], g[:, ri, ci], x.data[:, ro, co], 1)
+            _tap_madd(dx[:, ro, co], g[:, ri, ci], w.data[i, j])
+            _tap_weight_grad(dw[i, j], g[:, ri, ci], x.data[:, ro, co])
         if b is None:
             return dx, dw
-        return dx, dw, g.sum(axis=(0, 1, 2))
+        return dx, dw, T.gemv_sum(g, (0, 1, 2))
 
     inputs = (x, w) if b is None else (x, w, b)
     return _rec(out, inputs, bw)
@@ -229,23 +276,27 @@ BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-estimate update
 
 def _standardize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...]):
     """gamma * (x - mean) / sqrt(var + NORM_EPS) + beta, with mean and variance
-    over `axes` and the affine per channel; also returns the mean and variance."""
+    over `axes` (every axis but the channels, or the channels alone) and the
+    affine per channel; also returns the mean and variance. Every sum, forward
+    and backward, is one `gemv_sum`."""
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"norm affine shape mismatch for {c} channels")
-    mean = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
+    count = math.prod(x.shape[a] for a in axes)
+    mean = T.gemv_sum(x.data, axes) / count
+    xh = x.data - mean
+    var = T.gemv_sum(xh * xh, axes) / count
     ivar = 1.0 / np.sqrt(var + x.data.dtype.type(NORM_EPS))
-    xh = (x.data - mean) * ivar
+    xh *= ivar
     out = Tensor(gamma.data * xh + beta.data)
     param_axes = tuple(range(x.data.ndim - 1))
 
     def bw(g):
         dxh = g * gamma.data
-        m1 = dxh.mean(axis=axes, keepdims=True)
-        m2 = (dxh * xh).mean(axis=axes, keepdims=True)
+        m1 = T.gemv_sum(dxh, axes) / count
+        m2 = T.gemv_sum(dxh * xh, axes) / count
         dx = ivar * (dxh - m1 - xh * m2)
-        return dx, (g * xh).sum(axis=param_axes), g.sum(axis=param_axes)
+        return dx, T.gemv_sum(g * xh, param_axes), T.gemv_sum(g, param_axes)
 
     return _rec(out, (x, gamma, beta), bw), mean, var
 
@@ -263,8 +314,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         if x.shape[0] * x.shape[1] * x.shape[2] == 1:
             raise ShapeError("batch statistics undefined for a single element (N*H*W == 1)")
         out, mean, var = _standardize(x, gamma, beta, (0, 1, 2))
-        running_mean[...] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean[0, 0, 0]
-        running_var[...] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var[0, 0, 0]
+        running_mean[...] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+        running_var[...] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
         return out
 
     c = x.shape[-1]
@@ -275,7 +326,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     out = Tensor(gamma.data * xh + beta.data)
 
     def bw_eval(g):
-        return g * gamma.data * ivar, (g * xh).sum(axis=(0, 1, 2)), g.sum(axis=(0, 1, 2))
+        return (g * gamma.data * ivar, T.gemv_sum(g * xh, (0, 1, 2)),
+                T.gemv_sum(g, (0, 1, 2)))
 
     return _rec(out, (x, gamma, beta), bw_eval)
 

@@ -46,7 +46,7 @@ def test_euler_identity_relative():
         x = Tensor((scale * rng.standard_normal((1, 4, 4, 2))).astype(np.float32))
         a = stream.amplitude(x, "h").data
         f = stream.expand(x, "h").data
-        re, im = f[..., :2], f[..., 2:]
+        re, im = f[..., 0::2], f[..., 1::2]
         lhs = re.astype(np.float64) ** 2 + im.astype(np.float64) ** 2
         rhs = a.astype(np.float64) ** 2
         assert np.all(np.abs(lhs - rhs) <= 1e-4 * np.maximum(rhs, 1.0))
@@ -59,8 +59,8 @@ def test_expand_pure_real_when_phase_zeroed():
     x = rx((1, 4, 4, 2), 10)
     f = stream.expand(x, "h").data
     a = stream.amplitude(x, "h").data
-    assert np.allclose(f[..., :2], a, atol=1e-6)
-    assert np.all(f[..., 2:] == 0)
+    assert np.allclose(f[..., 0::2], a, atol=1e-6)
+    assert np.all(f[..., 1::2] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +87,7 @@ def test_grouped_conv_sees_own_pair_only():
     # zeroing one channel's (re, im) pair changes only that group's output
     stream, store = make_stream(c=3, seed=20)
     x = rx((1, 4, 4, 3), 21)
-    expanded = stream.expand(x, "h")
-    paired = T.take_channels(expanded, stream.interleave)
+    paired = stream.expand(x, "h")
     base = stream.group["h"](paired).data
     mutated = paired.data.copy()
     mutated[..., 2:4] = 0.0  # pair of channel 1
@@ -144,3 +143,80 @@ def test_concat_fusion_ablation():
     assert cf(xs, xd).shape == xd.shape
     with pytest.raises(ShapeError):
         cf(xs, rx((1, 4, 4, 2), 40))
+
+
+# ---------------------------------------------------------------------------
+# the one-op expansion against the composed chain of tape ops
+
+def _clip_op(a, lo, hi):
+    """Test-only clamp op: zero gradient where the clamp engaged."""
+    inside = (a.data > lo) & (a.data < hi)
+    return T._rec(Tensor(np.clip(a.data, lo, hi)), (a,), lambda g: (g * inside,))
+
+
+def composed_pairs(u, v):
+    """Test-only oracle: the expansion as a chain of tape ops (softplus,
+    tanh times pi, clip, cos, sin, mul, concat, then the interleaving gather)."""
+    dt = v.data.dtype
+    lim = ef._phase_limit(dt)
+    a = T.softplus(u)
+    theta = _clip_op(T.tanh(v) * float(dt.type(np.pi)), -lim, lim)
+    expanded = T.concat([T.mul(a, T.cos(theta)), T.mul(a, T.sin(theta))])
+    c = u.shape[-1]
+    return T.take_channels(expanded, np.arange(2 * c).reshape(2, c).T.reshape(-1))
+
+
+def _pair_logits(dtype, amp_scale, seed=41):
+    # a quarter of the phase logits at 1e3 saturate tanh, so pi*tanh lands
+    # on +-pi and the clamp engages there
+    rng = np.random.default_rng(seed)
+    shape = (2, 3, 4, 5)
+    u = amp_scale * rng.standard_normal(shape)
+    v = rng.standard_normal(shape)
+    v.reshape(-1)[::4] *= 1e3
+    return Tensor(u.astype(dtype)), Tensor(v.astype(dtype)), rng.standard_normal(
+        shape[:-1] + (2 * shape[-1],)).astype(dtype)
+
+
+@pytest.mark.parametrize("amp_scale", [1.0, 1e3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_euler_pairs_forward_bit_equal_to_composed_chain(dtype, amp_scale):
+    with T.using_dtype(dtype):
+        u, v, _ = _pair_logits(dtype, amp_scale)
+        got = ef.euler_pairs(u, v).data
+        want = composed_pairs(u, v).data
+    assert got.dtype == dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("amp_scale", [1.0, 1e3])
+def test_euler_pairs_grads_match_composed_chain_float64(amp_scale):
+    with T.using_dtype(np.float64):
+        u, v, probe = _pair_logits(np.float64, amp_scale)
+        grads = []
+        for op in (ef.euler_pairs, composed_pairs):
+            with T.Tape() as tape:
+                loss = T.tsum(T.mul(op(u, v), Tensor(probe)))
+                grads.append(tape.grad(loss, [u, v]))
+    clamped = np.abs(np.tanh(v.data) * np.pi) >= ef._phase_limit(np.dtype(np.float64))
+    assert clamped.any() and not clamped.all()
+    for got, want in zip(*grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert np.all(grads[0][1][clamped] == 0)
+
+
+def test_euler_pairs_refuses_mismatched_logits():
+    with pytest.raises(ShapeError, match="euler pairs"):
+        ef.euler_pairs(rx((1, 4, 4, 2), 44), rx((1, 4, 4, 3), 45))
+
+
+def test_amplitude_and_phase_are_the_expansion_formula():
+    # the inspection methods and the op share one formula
+    stream, _ = make_stream(c=3, seed=42)
+    x = rx((2, 4, 5, 3), 43, scale=10.0)
+    for axis in ("h", "v"):
+        f = stream.expand(x, axis).data
+        a = stream.amplitude(x, axis).data
+        th = stream.phase_angle(x, axis).data
+        assert np.array_equal(f[..., 0::2], a * np.cos(th))
+        assert np.array_equal(f[..., 1::2], a * np.sin(th))

@@ -360,6 +360,98 @@ def test_bn_gradcheck_train_mode():
 
 
 # ---------------------------------------------------------------------------
+# the norms' sums against numpy's mean and var
+
+def standardize_oracle(x, gamma, beta, axes, g):
+    """Test-only oracle: the norm forward and backward written with numpy's
+    mean/var reductions. Returns y, (dx, dgamma, dbeta), batch mean, batch var."""
+    mean = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    ivar = 1.0 / np.sqrt(var + nn.NORM_EPS)
+    xh = (x - mean) * ivar
+    dxh = g * gamma
+    dx = ivar * (dxh - dxh.mean(axis=axes, keepdims=True)
+                 - xh * (dxh * xh).mean(axis=axes, keepdims=True))
+    return gamma * xh + beta, (dx, (g * xh).sum(axis=(0, 1, 2)), g.sum(axis=(0, 1, 2))), \
+        mean.reshape(-1), var.reshape(-1)
+
+
+def _norm_case(seed):
+    rng = np.random.default_rng(seed)
+    x = 3.0 * rng.standard_normal((3, 5, 4, 6)) + rng.standard_normal(6)
+    return (x, 1.0 + 0.5 * rng.standard_normal(6), rng.standard_normal(6),
+            rng.standard_normal(x.shape))
+
+
+def _with_grads(op, x, gamma, beta, g):
+    xt, gt, bt = Tensor(x), Tensor(gamma), Tensor(beta)
+    with Tape() as tape:
+        y = op(xt, gt, bt)
+        grads = tape.grad(T.tsum(T.mul(y, Tensor(g))), [xt, gt, bt])
+    return y.data, grads
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_batch_norm_matches_mean_var_oracle_float64():
+    x, gamma, beta, g = _norm_case(81)
+    with T.using_dtype(np.float64):
+        rm, rv = np.linspace(-1, 1, 6), np.linspace(0.5, 2, 6)
+        run_m, run_v = rm.copy(), rv.copy()
+        y, grads = _with_grads(lambda v, ga, be: nn.batch_norm(v, ga, be, run_m, run_v, True),
+                               x, gamma, beta, g)
+        y_ref, grads_ref, mean, var = standardize_oracle(x, gamma, beta, (0, 1, 2), g)
+        _close(y, y_ref)
+        for got, want in zip(grads, grads_ref):
+            _close(got, want)
+        _close(run_m, (1 - nn.BN_MOMENTUM) * rm + nn.BN_MOMENTUM * mean)
+        _close(run_v, (1 - nn.BN_MOMENTUM) * rv + nn.BN_MOMENTUM * var)
+        # eval mode: the running statistics, and its affine gradients
+        y, (dx, dgamma, dbeta) = _with_grads(
+            lambda v, ga, be: nn.batch_norm(v, ga, be, rm, rv, False), x, gamma, beta, g)
+        xh = (x - rm) / np.sqrt(rv + nn.NORM_EPS)
+        _close(y, gamma * xh + beta)
+        _close(dx, g * gamma / np.sqrt(rv + nn.NORM_EPS))
+        _close(dgamma, (g * xh).sum(axis=(0, 1, 2)))
+        _close(dbeta, g.sum(axis=(0, 1, 2)))
+
+
+def test_layer_norm_matches_mean_var_oracle_float64():
+    x, gamma, beta, g = _norm_case(82)
+    with T.using_dtype(np.float64):
+        y, grads = _with_grads(nn.layer_norm, x, gamma, beta, g)
+    y_ref, grads_ref, _, _ = standardize_oracle(x, gamma, beta, (-1,), g)
+    _close(y, y_ref)
+    for got, want in zip(grads, grads_ref):
+        _close(got, want)
+
+
+def _sum_axes_grad(x):
+    # sum_axes' backward hands back a zero-stride broadcast of its output grad
+    xt = Tensor(x)
+    with Tape() as tape:
+        s = T.sum_axes(xt, (1, 2))
+        probe = Tensor(np.random.default_rng(5).standard_normal(s.shape))
+        return tape.grad(T.tsum(T.mul(s, probe)), [xt])[0]
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "strided", "zero_stride"])
+def test_gemv_sum_matches_numpy_sum(kind):
+    base = np.random.default_rng(83).standard_normal((3, 8, 6, 10))
+    with T.using_dtype(np.float64):
+        x = {"contiguous": base, "strided": base[:, 1::2, ::-1, ::2],
+             "zero_stride": _sum_axes_grad(base)}[kind]
+    assert (0 in x.strides) == (kind == "zero_stride")
+    assert x.flags.c_contiguous == (kind == "contiguous")
+    _close(T.gemv_sum(x, (0, 1, 2)), x.sum(axis=(0, 1, 2)))
+    _close(T.gemv_sum(x, (-1,)), x.sum(axis=-1, keepdims=True))
+    with pytest.raises(ConfigError):
+        T.gemv_sum(x, (1, 2))
+
+
+# ---------------------------------------------------------------------------
 # layer norm
 
 def test_ln_constant_channels_give_beta():

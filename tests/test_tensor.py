@@ -73,6 +73,24 @@ def test_silu_zero():
     assert T.silu(t([0.0])).data[0] == 0.0
 
 
+def test_sigmoid_within_4_ulp_and_overflow_free():
+    x = np.concatenate([np.linspace(-80, 80, 200001, dtype=np.float32),
+                        np.random.default_rng(3).uniform(-80, 80, 10000).astype(np.float32)])
+    extremes = np.array([-np.inf, -1e30, 1e30, np.inf], dtype=np.float32)
+    with np.errstate(over="raise", invalid="raise"):
+        s = T._sigmoid(x)
+        ends = T._sigmoid(extremes)
+        # every op built on it: sigmoid, silu and softplus, forward and backward
+        for op in (T.sigmoid, T.silu, T.softplus):
+            v = Tensor(np.concatenate([x, extremes[1:3]]))
+            with Tape() as tape:
+                tape.grad(T.tsum(op(v)), [v])
+    ref = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+    assert s.dtype == np.float32
+    assert np.all(np.abs(s - ref) <= 4 * np.spacing(ref.astype(np.float32)))
+    assert ends.tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
 def test_add_definition():
     y = T.add(t([1.0, 2.0]), t([3.0, 4.0]))
     assert np.array_equal(y.data, [4.0, 6.0])
@@ -402,8 +420,8 @@ def test_take_channels_grad_scatter():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 def test_take_channels_permutation_grad_equals_scatter_add(dtype):
-    # Euler's interleave at c = 16: the inverse-permutation gather must be
-    # bit-equal to scatter-adding the output gradient back
+    # a permutation (Euler's channel interleave at c = 16): the gradient is
+    # the output gradient scatter-added back, bit for bit
     c = 16
     idx = np.arange(2 * c).reshape(2, c).T.reshape(-1)
     rng = np.random.default_rng(7)
