@@ -563,8 +563,6 @@ def gemv_sum(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
-    if len(shape) == 1 and g.ndim > 1 and g.shape[-1] == shape[0]:
-        return gemv_sum(g, tuple(range(g.ndim - 1)))
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
