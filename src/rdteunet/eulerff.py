@@ -1,11 +1,12 @@
 """Euler-form skip fusion.
 
 Directional convs produce an amplitude (softplus, so A >= 0) and a bounded
-phase (pi*tanh, clamped strictly inside (-pi, pi)); `euler_pairs` expands
-each channel k into the pair A_k*cos(theta_k), A_k*sin(theta_k) at channels
-2k and 2k+1 as one tape op, whose backward reuses the forward's cos and sin.
-A grouped conv with one group per channel then sees exactly its own (real,
-imaginary) pair, a 1x1 conv covers the channel dimension, and 1x1 fusions
+phase (pi*tanh, clamped strictly inside (-pi, pi)). `euler_pair_conv` is one
+tape op that expands each channel k into its pair A_k*cos(theta_k),
+A_k*sin(theta_k) and convolves that pair alone with the direction's 1x3 or
+3x1 pair kernel, (real, imaginary) weights per tap and channel. The op owns
+the pair layout: the real and imaginary parts are two contiguous maps that
+never leave it. A 1x1 conv covers the channel dimension, and 1x1 fusions
 reduce the concatenated streams. The imaginary unit is purely structural:
 channel pairs, no complex arithmetic.
 """
@@ -37,43 +38,72 @@ def _phase(v: np.ndarray) -> np.ndarray:
     return np.clip(np.tanh(v) * v.dtype.type(np.pi), -lim, lim)
 
 
-def euler_pairs(u: Tensor, v: Tensor) -> Tensor:
+def euler_pair_conv(u: Tensor, v: Tensor, w: Tensor, b: Tensor,
+                    pad: tuple[int, int, int, int]) -> Tensor:
     """The Euler expansion of amplitude logits u and phase logits v, both
-    (N, H, W, c), as one tape op: output channels 2k and 2k+1 hold
-    A_k*cos(theta_k) and A_k*sin(theta_k), with A = softplus(u) and
-    theta = `_phase(v)`, the channel pairs a one-group-per-channel conv reads.
+    (N, H, W, c), and its stride-1 pair conv, as one tape op.
 
-    The backward is closed form and keeps only cos, sin and the output:
-    dA = g_re*cos + g_im*sin, dtheta = g_im*re - g_re*im, du = dA*sigmoid(u),
-    and dv = dtheta*pi*(1 - tanh(v)^2) where the clamp is not engaged, zero
-    where it is.
+    With A = softplus(u) and theta = `_phase(v)`, the maps re = A*cos(theta)
+    and im = A*sin(theta) are convolved channel by channel: output channel k
+    is b[k] plus, tap by tap in conv2d's order, re_k*w[i, j, 0, k] and then
+    im_k*w[i, j, 1, k] over the pixels the tap sees (`nn._tap_spans`).
+
+    The backward takes d(re), d(im), dw and db tap by tap, then closes over
+    the expansion reusing the forward's cos, sin, re and im:
+    dA = d(re)*cos + d(im)*sin, dtheta = d(im)*re - d(re)*im,
+    du = dA*sigmoid(u), and dv = dtheta*pi*(1 - tanh(v)^2) where the clamp
+    is not engaged, zero where it is.
     """
     if u.shape != v.shape:
         raise ShapeError(f"euler pairs: amplitude {u.shape} and phase {v.shape} differ")
+    n, h, wd, c = u.shape
+    kh, kw = w.shape[:2]
+    if w.shape[2:] != (2, c) or b.shape != (c,):
+        raise ShapeError(f"euler pair conv: weights {w.shape} and bias {b.shape} do not "
+                         f"fit (kh, kw, 2, {c}) and ({c},)")
+    pt, pb, pl, pr = pad
+    oh = nn.conv_out_extent(h, pt, pb, kh, 1)
+    ow = nn.conv_out_extent(wd, pl, pr, kw, 1)
+    rows, cols = nn._tap_spans(oh, h, pt, kh, 1), nn._tap_spans(ow, wd, pl, kw, 1)
+    taps = [(i, j, rs, cs) for i, rs in enumerate(rows) if rs for j, cs in enumerate(cols) if cs]
+
     a = T._softplus(u.data)
     theta = _phase(v.data)
     cos, sin = np.cos(theta), np.sin(theta)
-    flat = np.empty(u.shape[:-1] + (2 * u.shape[-1],), dtype=u.data.dtype)
-    pairs = flat.reshape(u.shape + (2,))
-    np.multiply(a, cos, out=pairs[..., 0])
-    np.multiply(a, sin, out=pairs[..., 1])
-    out = Tensor(flat)
+    re, im = a * cos, a * sin
+    y = np.full((n, oh, ow, c), b.data, dtype=u.data.dtype)
+    for i, j, (ro, ri), (co, ci) in taps:
+        y[:, ro, co] += re[:, ri, ci] * w.data[i, j, 0]
+        y[:, ro, co] += im[:, ri, ci] * w.data[i, j, 1]
+    out = Tensor(y)
 
     def bw(g):
-        g = g.reshape(pairs.shape)
-        g_re, g_im = g[..., 0], g[..., 1]
-        du = g_re * cos
-        du += g_im * sin
+        gc = np.ascontiguousarray(g)
+        d_re, d_im = np.zeros_like(re), np.zeros_like(im)
+        dw = np.empty(w.shape, dtype=w.data.dtype)
+        # taps that see no pixel (a kernel row or column beyond the image) get zeros
+        dw[[i for i, rs in enumerate(rows) if rs is None]] = 0
+        dw[:, [j for j, cs in enumerate(cols) if cs is None]] = 0
+        for i, j, (ro, ri), (co, ci) in taps:
+            for m, (part, d_part) in enumerate(((re, d_re), (im, d_im))):
+                d_part[:, ri, ci] += gc[:, ro, co] * w.data[i, j, m]
+                dw[i, j, m] = np.einsum("nhwk,nhwk->k", part[:, ri, ci], gc[:, ro, co])
+        du = d_re * cos
+        du += d_im * sin
         du *= T._sigmoid(u.data)
-        dv = g_im * pairs[..., 0]
-        dv -= g_re * pairs[..., 1]
+        dv = d_im * re
+        dv -= d_re * im
         pi = v.data.dtype.type(np.pi)
         t = np.tanh(v.data)
         dv *= np.abs(t * pi) < _phase_limit(v.data.dtype)  # the clamp's zero gradient
         dv *= pi * (1 - t * t)
-        return du, dv
+        return du, dv, dw, T.gemv_sum(g, (0, 1, 2))
 
-    return T._rec(out, (u, v), bw)
+    return T._rec(out, (u, v, w, b), bw)
+
+
+# per axis, the (kh, kw) of its amplitude, phase and pair convs
+KERNELS = {HORIZONTAL: (1, 3), VERTICAL: (3, 1)}
 
 
 class EulerStream:
@@ -81,12 +111,18 @@ class EulerStream:
 
     def __init__(self, store: ParamStore, prefix: str, c: int):
         self.c = c
-        mk = lambda name, kh, kw, cin, cout, groups=1: nn.Conv2d(
-            store, f"{prefix}.{name}", cin, cout, kh, kw, pad="same", groups=groups)
-        self.amp = {HORIZONTAL: mk("amp_h", 1, 3, c, c), VERTICAL: mk("amp_v", 3, 1, c, c)}
-        self.phase = {HORIZONTAL: mk("phase_h", 1, 3, c, c), VERTICAL: mk("phase_v", 3, 1, c, c)}
-        self.group = {HORIZONTAL: mk("group_h", 1, 3, 2 * c, c, groups=c),
-                      VERTICAL: mk("group_v", 3, 1, 2 * c, c, groups=c)}
+        self.store = store
+        mk = lambda name, kh, kw, cin, cout: nn.Conv2d(
+            store, f"{prefix}.{name}", cin, cout, kh, kw, pad="same")
+        self.amp = {axis: mk(f"amp_{axis}", *k, c, c) for axis, k in KERNELS.items()}
+        self.phase = {axis: mk(f"phase_{axis}", *k, c, c) for axis, k in KERNELS.items()}
+        # the pair convs: per tap and channel one (real, imaginary) weight pair
+        self.group = {}
+        for axis, (kh, kw) in KERNELS.items():
+            name = f"{prefix}.group_{axis}"
+            store.add(f"{name}.w", nn.kaiming_uniform((kh, kw, 2, c), kh * kw * 2, gain=1.0))
+            store.add(f"{name}.b", T.Fill((c,), 0.0))
+            self.group[axis] = (f"{name}.w", f"{name}.b", nn._same_pad(kh) + nn._same_pad(kw))
         self.chan = mk("chan", 1, 1, c, c)
         self.fuse = mk("fuse", 1, 1, 4 * c, c)
 
@@ -100,15 +136,16 @@ class EulerStream:
         inspection: no tape entry of their own."""
         return Tensor(_phase(self.phase[axis](x).data))
 
-    def expand(self, x: Tensor, axis: str) -> Tensor:
-        """Euler expansion along one axis: channels 2k, 2k+1 hold
-        A_k*cos(theta_k), A_k*sin(theta_k)."""
-        return euler_pairs(self.amp[axis](x), self.phase[axis](x))
+    def directional(self, x: Tensor, axis: str) -> Tensor:
+        """The Euler expansion along one axis, convolved by its pair conv."""
+        w_name, b_name, pad = self.group[axis]
+        return euler_pair_conv(self.amp[axis](x), self.phase[axis](x),
+                               self.store.value(w_name), self.store.value(b_name), pad)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.c:
             raise ShapeError(f"stream built for {self.c} channels, got {x.shape[-1]}")
-        t_h, t_v = (self.group[axis](self.expand(x, axis)) for axis in (HORIZONTAL, VERTICAL))
+        t_h, t_v = (self.directional(x, axis) for axis in (HORIZONTAL, VERTICAL))
         t_c = T.silu(self.chan(x))
         return self.fuse(T.concat([x, t_h, t_v, t_c]))
 

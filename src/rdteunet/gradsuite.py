@@ -97,16 +97,6 @@ def check_conv2d(tol):
     return reports
 
 
-def check_conv2d_groups(tol):
-    x = _rx((1, 3, 3, 4), 10)
-    w = _rx((1, 3, 2, 2), 11)
-    probe = _rx((1, 3, 3, 2), 12)
-    kw = dict(pad=(0, 0, 1, 1), groups=2)
-    r1 = gradcheck(lambda v: _probe_loss(nn.conv2d(v, w, **kw), probe), x, EPS, tol)
-    r2 = gradcheck(lambda v: _probe_loss(nn.conv2d(x, v, **kw), probe), w, EPS, tol)
-    return [r1, r2]
-
-
 def check_conv2d_transpose(tol):
     x = _rx((1, 3, 3, 2), 13)
     w = _rx((2, 2, 3, 2), 14)
@@ -258,12 +248,24 @@ def check_asbe_stem(tol):
 
 
 def check_euler_expand(tol):
+    """Each axis' expansion and pair conv (`euler_pair_conv` after the
+    amplitude and phase convs), in the stream input and the pair conv's
+    weights and bias."""
     store = ParamStore(55)
     stream = ef.EulerStream(store, "es", 2)
     x = _rx((1, 3, 3, 2), 56)
-    probe = _rx((1, 3, 3, 4), 57)
-    return [gradcheck(lambda v: _probe_loss(stream.expand(v, axis), probe), x, EPS, tol)
-            for axis in (ef.HORIZONTAL, ef.VERTICAL)]
+    probe = _rx((1, 3, 3, 2), 57)
+    reports = []
+    for axis in (ef.HORIZONTAL, ef.VERTICAL):
+        reports.append(gradcheck(lambda v: _probe_loss(stream.directional(v, axis), probe),
+                                 x, EPS, tol))
+        for name in stream.group[axis][:2]:
+            def f(v):
+                store.set_value(name, v)
+                return _probe_loss(stream.directional(x, axis), probe)
+
+            reports.append(gradcheck(f, store.value(name), EPS, tol))
+    return reports
 
 
 def check_euler_stream(tol):
@@ -331,10 +333,9 @@ def check_model_subset(tol):
 SCOPES: dict[str, dict[str, Check]] = {
     "tensor": {"tensor.elementwise_chain": check_elementwise, "tensor.matmul": check_matmul,
                "tensor.softmax": check_softmax},
-    "nn": {"nn.conv2d": check_conv2d, "nn.conv2d_groups": check_conv2d_groups,
-           "nn.conv2d_transpose": check_conv2d_transpose, "nn.batch_norm": check_batch_norm,
-           "nn.layer_norm": check_layer_norm, "nn.avg_pool": check_avg_pool,
-           "nn.mlp": check_mlp, "nn.resblock": check_resblock},
+    "nn": {"nn.conv2d": check_conv2d, "nn.conv2d_transpose": check_conv2d_transpose,
+           "nn.batch_norm": check_batch_norm, "nn.layer_norm": check_layer_norm,
+           "nn.avg_pool": check_avg_pool, "nn.mlp": check_mlp, "nn.resblock": check_resblock},
     "stair": {"stair.horizontal": lambda tol: _stair_check(sc.HORIZONTAL, 32, tol),
               "stair.vertical": lambda tol: _stair_check(sc.VERTICAL, 36, tol)},
     "hvda": {"hvda.branch": check_hvda_branch, "hvda.attention": check_hvda_attention,

@@ -1,9 +1,8 @@
 """Standard layers over the tensor core: convolution with arbitrary
-asymmetric padding / stride / groups, 2x2 stride-2 transposed convolution,
-batch/layer norm, and residual blocks. Average pooling (a depthwise
-ones-kernel convolution) and the channel MLP (two 1x1 convolutions) run
-through the same conv2d; the transposed convolution is the adjoint of the
-2x2 stride-2 conv2d, computed on that conv's kernel taps.
+asymmetric padding and stride, 2x2 stride-2 transposed convolution, average
+pooling, batch/layer norm, and residual blocks. The channel MLP (two 1x1
+convolutions) runs through conv2d; the transposed convolution is the adjoint
+of the 2x2 stride-2 conv2d, computed on that conv's kernel taps.
 
 Both norms run one standardize op, forward and backward: batch norm over
 (N, H, W) per channel, layer norm over the channels at each position. Batch
@@ -11,12 +10,10 @@ norm adds only its running statistics and their eval-mode path. Every sum
 over a map's positions or channels, in the norms and in the affine and bias
 gradients, is one BLAS matrix-vector product (`tensor.gemv_sum`).
 
-Feature maps are NHWC; conv weights are (kh, kw, cin/groups, cout);
-convolution is cross-correlation (no kernel flip), summed over kernel taps
-with implicit padding, so it costs only the products that touch real pixels.
-A dense tap is one GEMM. A grouped convolution runs on channel planes: its
-input is split once per call into cin/groups contiguous planes, one channel
-of every group each, and a tap is an elementwise multiply-add per plane.
+Feature maps are NHWC; conv weights are (kh, kw, cin, cout); convolution is
+cross-correlation (no kernel flip), summed over kernel taps with implicit
+padding, so it costs only the products that touch real pixels. A tap is one
+GEMM. Average pooling sums its window over the same taps (`_tap_spans`).
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from .tensor import (
     Tensor,
     _rec,
     add,
-    mul,
     relu,
     silu,
 )
@@ -97,58 +93,24 @@ def _tap_weight_grad(out: np.ndarray, a: np.ndarray, g: np.ndarray) -> None:
     np.matmul(a.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]), out=out)
 
 
-def _planes(a: np.ndarray, k: int) -> list[np.ndarray]:
-    """The k channel planes a[..., m::k] of a grouped map, each contiguous:
-    plane m holds every group's m-th channel, one channel per group. For
-    k == 1 the plane is `a` itself when it is contiguous."""
-    if k == 1:
-        return [np.ascontiguousarray(a)]
-    return [np.ascontiguousarray(a[..., m::k]) for m in range(k)]
-
-
-def _plane_madd(out: np.ndarray, a: np.ndarray, wv: np.ndarray) -> None:
-    """out += a * wv for (..., w, groups) plane slices and one weight per
-    group: the weights are tiled along the row, so the product runs over
-    each row's w * groups contiguous values instead of one group-long vector
-    at a time."""
-    out += a * np.tile(wv, (a.shape[-2], 1))
-
-
-def _interleave_planes(planes: list[np.ndarray]) -> np.ndarray:
-    """The inverse of `_planes`: the map whose channel g*k + m is plane m's channel g."""
-    if len(planes) == 1:
-        return planes[0]
-    k = len(planes)
-    out = np.empty(planes[0].shape[:-1] + (k * planes[0].shape[-1],), planes[0].dtype)
-    for m, p in enumerate(planes):
-        out[..., m::k] = p
-    return out
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
-           pad: tuple[int, int, int, int] = (0, 0, 0, 0), groups: int = 1) -> Tensor:
+           pad: tuple[int, int, int, int] = (0, 0, 0, 0)) -> Tensor:
     """Cross-correlation with implicit zero padding (top, bottom, left, right).
 
     A sum over kernel taps: tap (i, j) multiplies the rectangle of real input
-    pixels it sees by w[i, j] into the matching output rectangle, so products
-    with padding are skipped and outputs that see only padding get the bias.
-    With groups == 1 each tap is one GEMM. With groups > 1 the input is split
-    once into its cin/groups channel planes (plane m: every group's m-th
-    input channel) and the output into cout/groups planes, each contiguous,
-    so a tap is one elementwise multiply-add per (input, output) plane pair
-    with one weight per group.
+    pixels it sees by w[i, j] into the matching output rectangle, as one GEMM,
+    so products with padding are skipped and outputs that see only padding
+    get the bias.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d expects NHWC input, got shape {x.shape}")
     if w.data.ndim != 4:
-        raise ShapeError(f"conv2d expects (kh,kw,cin/groups,cout) weights, got {w.shape}")
+        raise ShapeError(f"conv2d expects (kh,kw,cin,cout) weights, got {w.shape}")
     n, h, wd, cin = x.shape
-    kh, kw, cig, cout = w.shape
+    kh, kw, wcin, cout = w.shape
     pt, pb, pl, pr = pad
-    if cin % groups or cout % groups:
-        raise ConfigError(f"channels ({cin}->{cout}) not divisible by groups={groups}")
-    if cig != cin // groups:
-        raise ShapeError(f"weight cin/groups={cig} but input has {cin} channels, groups={groups}")
+    if wcin != cin:
+        raise ShapeError(f"weight expects {wcin} input channels but input has {cin}")
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} != ({cout},)")
     oh = conv_out_extent(h, pt, pb, kh, stride)
@@ -161,42 +123,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     rows, cols = _tap_spans(oh, h, pt, kh, stride), _tap_spans(ow, wd, pl, kw, stride)
     taps = [(i, j, r, c) for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
     y = np.full((n, oh, ow, cout), 0 if b is None else b.data, dtype=x.data.dtype)
-    og = cout // groups
-    # per tap, input plane m and output plane q: the (groups,) weights joining them
-    wg = w.data.reshape(kh, kw, cig, groups, og)
-    if groups == 1:
-        for i, j, (ro, ri), (co, ci) in taps:
-            _tap_madd(y[:, ro, co], x.data[:, ri, ci], w.data[i, j])
-    else:
-        xs, ys = _planes(x.data, cig), _planes(y, og)
-        for i, j, (ro, ri), (co, ci) in taps:
-            for m, xm in enumerate(xs):
-                for q, yq in enumerate(ys):
-                    _plane_madd(yq[:, ro, co], xm[:, ri, ci], wg[i, j, m, :, q])
-        y = _interleave_planes(ys)
+    for i, j, (ro, ri), (co, ci) in taps:
+        _tap_madd(y[:, ro, co], x.data[:, ri, ci], w.data[i, j])
     out = Tensor(y)
 
     def bw(g):
+        dx = np.zeros(x.shape, dtype=x.data.dtype)
         dw = np.empty(w.shape, dtype=w.data.dtype)
         # taps that see no pixel (a kernel row or column beyond the image) get zeros
         dw[[i for i, r in enumerate(rows) if r is None]] = 0
         dw[:, [j for j, c in enumerate(cols) if c is None]] = 0
-        if groups == 1:
-            dx = np.zeros(x.shape, dtype=x.data.dtype)
-            for i, j, (ro, ri), (co, ci) in taps:
-                _tap_madd(dx[:, ri, ci], g[:, ro, co], w.data[i, j].T)
-                _tap_weight_grad(dw[i, j], x.data[:, ri, ci], g[:, ro, co])
-        else:
-            xs, gs = _planes(x.data, cig), _planes(g, og)
-            dxs = [np.zeros(xm.shape, dtype=x.data.dtype) for xm in xs]
-            dwg = dw.reshape(kh, kw, cig, groups, og)
-            for i, j, (ro, ri), (co, ci) in taps:
-                for m, (xm, dxm) in enumerate(zip(xs, dxs)):
-                    for q, gq in enumerate(gs):
-                        _plane_madd(dxm[:, ri, ci], gq[:, ro, co], wg[i, j, m, :, q])
-                        dwg[i, j, m, :, q] = np.einsum("nhwk,nhwk->k", xm[:, ri, ci],
-                                                       gq[:, ro, co])
-            dx = _interleave_planes(dxs)
+        for i, j, (ro, ri), (co, ci) in taps:
+            _tap_madd(dx[:, ri, ci], g[:, ro, co], w.data[i, j].T)
+            _tap_weight_grad(dw[i, j], x.data[:, ri, ci], g[:, ro, co])
         if b is None:
             return dx, dw
         return dx, dw, T.gemv_sum(g, (0, 1, 2))
@@ -254,17 +193,33 @@ def _window_counts(size: int, p: int) -> np.ndarray:
 
 
 def avg_pool(x: Tensor, k: int) -> Tensor:
-    """Stride-1 same-size average pooling: a depthwise ones-kernel conv2d times
-    1/(window pixel count), so border windows divide by the true pixel count."""
-    if k % 2 == 0:
-        raise ConfigError(f"same-padding average pooling needs odd k, got {k}")
+    """Stride-1 same-size average pooling: the sum of each k x k window's real
+    pixels, added over the window offsets in conv2d's tap order, times
+    1/(their count), so border windows divide by the true pixel count. The
+    backward spreads each output's g/count over its window."""
+    if k < 1 or k % 2 == 0:
+        raise ConfigError(f"same-padding average pooling needs an odd k >= 1, got {k}")
     if x.data.ndim != 4:
         raise ShapeError(f"avg_pool expects NHWC input, got {x.shape}")
-    n, h, wd, c = x.shape
+    h, wd = x.shape[1:3]
     p = k // 2
-    sums = conv2d(x, Tensor(np.ones((k, k, 1, c))), pad=(p, p, p, p), groups=c)
-    inv = 1.0 / np.outer(_window_counts(h, p), _window_counts(wd, p))
-    return mul(sums, Tensor(np.broadcast_to(inv[None, :, :, None], x.shape)))
+    taps = [(r, c) for r in _tap_spans(h, h, p, k, 1) if r
+            for c in _tap_spans(wd, wd, p, k, 1) if c]
+    counts = np.outer(_window_counts(h, p), _window_counts(wd, p))
+    inv = (1.0 / counts)[:, :, None].astype(x.data.dtype)
+    sums = np.zeros(x.shape, dtype=x.data.dtype)
+    for (ro, ri), (co, ci) in taps:
+        sums[:, ro, co] += x.data[:, ri, ci]
+    out = Tensor(sums * inv)
+
+    def bw(g):
+        gi = g * inv
+        dx = np.zeros(x.shape, dtype=x.data.dtype)
+        for (ro, ri), (co, ci) in taps:
+            dx[:, ri, ci] += gi[:, ro, co]
+        return (dx,)
+
+    return _rec(out, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +311,7 @@ class Conv2d:
 
     def __init__(self, store: ParamStore, prefix: str, cin: int, cout: int, kh: int,
                  kw: int | None = None, *,
-                 stride: int = 1, pad="same", groups: int = 1, bias: bool = True,
+                 stride: int = 1, pad="same", bias: bool = True,
                  init_gain: float = 1.0, extent: tuple[int, int] | None = None):
         kw = kh if kw is None else kw
         if pad == "same":
@@ -365,9 +320,10 @@ class Conv2d:
             pad = (pt, pb, pl, pr)
         elif pad == "valid":
             pad = (0, 0, 0, 0)
+        elif isinstance(pad, str):
+            raise ConfigError(f"{prefix}: pad must be 'same', 'valid' or four ints, got {pad!r}")
         self.stride = stride
         self.pad = tuple(pad)
-        self.groups = groups
         self.extent = None if extent is None else tuple(extent)
         window = None
         if extent is not None:
@@ -377,11 +333,10 @@ class Conv2d:
             window = (rows, cols, slice(None), slice(None))
             self.pad = (pt - rows.start, pb - (kh - rows.stop),
                         pl - cols.start, pr - (kw - cols.stop))
-        fan_in = kh * kw * (cin // groups)
+        fan_in = kh * kw * cin
         self.w_name = f"{prefix}.w"
         self.b_name = f"{prefix}.b" if bias else None
-        store.add(self.w_name, kaiming_uniform((kh, kw, cin // groups, cout), fan_in,
-                                               init_gain, window))
+        store.add(self.w_name, kaiming_uniform((kh, kw, cin, cout), fan_in, init_gain, window))
         if bias:
             store.add(self.b_name, T.Fill((cout,), 0.0))
         self.store = store
@@ -392,7 +347,7 @@ class Conv2d:
                              f"{self.extent}, got input {x.shape}")
         b = self.store.value(self.b_name) if self.b_name else None
         return conv2d(x, self.store.value(self.w_name), b,
-                      stride=self.stride, pad=self.pad, groups=self.groups)
+                      stride=self.stride, pad=self.pad)
 
 
 class ConvTranspose2x2:

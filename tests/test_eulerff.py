@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from test_nn import im2col_conv2d
 
 import rdteunet.eulerff as ef
+import rdteunet.nn as nn
 import rdteunet.tensor as T
 from rdteunet.tensor import ParamStore, ShapeError, Tensor
 
@@ -15,6 +17,24 @@ def make_stream(c=3, seed=0):
     store = ParamStore(seed)
     stream = ef.EulerStream(store, "st", c)
     return stream, store
+
+
+def logits(stream, x, axis):
+    """The amplitude and phase logits the expansion along `axis` reads."""
+    return stream.amp[axis](x), stream.phase[axis](x)
+
+
+def pair_parts(u, v):
+    """A*cos(theta) and A*sin(theta), read through the fused op with 1x1 pair
+    kernels that pass one part at weight 1 and the other at weight 0, and a
+    zero bias: each output is exactly that part."""
+    c = u.shape[-1]
+    parts = []
+    for m in (0, 1):
+        w = np.zeros((1, 1, 2, c), dtype=u.data.dtype)
+        w[0, 0, m] = 1
+        parts.append(ef.euler_pair_conv(u, v, Tensor(w), T.zeros((c,)), (0, 0, 0, 0)).data)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +65,7 @@ def test_euler_identity_relative():
         scale = 1e3 if i % 3 == 0 else rng.uniform(0.1, 10.0)
         x = Tensor((scale * rng.standard_normal((1, 4, 4, 2))).astype(np.float32))
         a = stream.amplitude(x, "h").data
-        f = stream.expand(x, "h").data
-        re, im = f[..., 0::2], f[..., 1::2]
+        re, im = pair_parts(*logits(stream, x, "h"))
         lhs = re.astype(np.float64) ** 2 + im.astype(np.float64) ** 2
         rhs = a.astype(np.float64) ** 2
         assert np.all(np.abs(lhs - rhs) <= 1e-4 * np.maximum(rhs, 1.0))
@@ -57,10 +76,10 @@ def test_expand_pure_real_when_phase_zeroed():
     store.set_value("st.phase_h.w", T.zeros(store.value("st.phase_h.w").shape))
     store.set_value("st.phase_h.b", T.zeros((2,)))
     x = rx((1, 4, 4, 2), 10)
-    f = stream.expand(x, "h").data
+    re, im = pair_parts(*logits(stream, x, "h"))
     a = stream.amplitude(x, "h").data
-    assert np.allclose(f[..., 0::2], a, atol=1e-6)
-    assert np.all(f[..., 1::2] == 0)
+    assert np.allclose(re, a, atol=1e-6)
+    assert np.all(im == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +103,21 @@ def test_stream_vanishes_with_pinned_amp_bias():
 
 
 def test_grouped_conv_sees_own_pair_only():
-    # zeroing one channel's (re, im) pair changes only that group's output
+    # zeroing channel 1's (re, im) pair (amplitude logit -1e4: A = 0), or
+    # moving its phase, changes only output channel 1 of the pair conv
     stream, store = make_stream(c=3, seed=20)
     x = rx((1, 4, 4, 3), 21)
-    paired = stream.expand(x, "h")
-    base = stream.group["h"](paired).data
-    mutated = paired.data.copy()
-    mutated[..., 2:4] = 0.0  # pair of channel 1
-    out2 = stream.group["h"](Tensor(mutated)).data
-    changed = np.abs(out2 - base).sum(axis=(0, 1, 2))
-    assert changed[1] > 0
-    assert changed[0] == 0 and changed[2] == 0
+    w_name, b_name, pad = stream.group["h"]
+    w, b = store.value(w_name), store.value(b_name)
+    u, v = logits(stream, x, "h")
+    base = ef.euler_pair_conv(u, v, w, b, pad).data
+    for i, value in ((0, -1e4), (1, 0.5)):
+        mutated = [u.data.copy(), v.data.copy()]
+        mutated[i][..., 1] = value
+        out2 = ef.euler_pair_conv(Tensor(mutated[0]), Tensor(mutated[1]), w, b, pad).data
+        changed = np.abs(out2 - base).sum(axis=(0, 1, 2))
+        assert changed[1] > 0
+        assert changed[0] == 0 and changed[2] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +169,7 @@ def test_concat_fusion_ablation():
 
 
 # ---------------------------------------------------------------------------
-# the one-op expansion against the composed chain of tape ops
+# the fused op against the composed chain of tape ops and the grouped conv oracle
 
 def _clip_op(a, lo, hi):
     """Test-only clamp op: zero gradient where the clamp engaged."""
@@ -156,7 +179,8 @@ def _clip_op(a, lo, hi):
 
 def composed_pairs(u, v):
     """Test-only oracle: the expansion as a chain of tape ops (softplus,
-    tanh times pi, clip, cos, sin, mul, concat, then the interleaving gather)."""
+    tanh times pi, clip, cos, sin, mul, concat, then the interleaving gather):
+    channels 2k and 2k+1 hold A_k*cos(theta_k) and A_k*sin(theta_k)."""
     dt = v.data.dtype
     lim = ef._phase_limit(dt)
     a = T.softplus(u)
@@ -170,44 +194,59 @@ def _pair_logits(dtype, amp_scale, seed=41):
     # a quarter of the phase logits at 1e3 saturate tanh, so pi*tanh lands
     # on +-pi and the clamp engages there
     rng = np.random.default_rng(seed)
-    shape = (2, 3, 4, 5)
+    shape = (2, 6, 5, 8)
     u = amp_scale * rng.standard_normal(shape)
     v = rng.standard_normal(shape)
     v.reshape(-1)[::4] *= 1e3
-    return Tensor(u.astype(dtype)), Tensor(v.astype(dtype)), rng.standard_normal(
-        shape[:-1] + (2 * shape[-1],)).astype(dtype)
+    return Tensor(u.astype(dtype)), Tensor(v.astype(dtype))
 
 
 @pytest.mark.parametrize("amp_scale", [1.0, 1e3])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 def test_euler_pairs_forward_bit_equal_to_composed_chain(dtype, amp_scale):
     with T.using_dtype(dtype):
-        u, v, _ = _pair_logits(dtype, amp_scale)
-        got = ef.euler_pairs(u, v).data
+        u, v = _pair_logits(dtype, amp_scale)
+        re, im = pair_parts(u, v)
         want = composed_pairs(u, v).data
-    assert got.dtype == dtype
-    assert np.array_equal(got, want)
+    assert re.dtype == dtype
+    assert np.array_equal(re, want[..., 0::2])
+    assert np.array_equal(im, want[..., 1::2])
 
 
 @pytest.mark.parametrize("amp_scale", [1.0, 1e3])
 def test_euler_pairs_grads_match_composed_chain_float64(amp_scale):
+    # oracle: the composed chain's interleaved pairs through the im2col
+    # grouped conv (one group per channel), at both axes' kernels and pads
+    rng = np.random.default_rng(46)
     with T.using_dtype(np.float64):
-        u, v, probe = _pair_logits(np.float64, amp_scale)
-        grads = []
-        for op in (ef.euler_pairs, composed_pairs):
+        u, v = _pair_logits(np.float64, amp_scale)
+        c = u.shape[-1]
+        clamped = np.abs(np.tanh(v.data) * np.pi) >= ef._phase_limit(np.dtype(np.float64))
+        assert clamped.any() and not clamped.all()
+        for axis, (kh, kw) in ef.KERNELS.items():
+            w, b = Tensor(rng.standard_normal((kh, kw, 2, c))), Tensor(rng.standard_normal(c))
+            pad = nn._same_pad(kh) + nn._same_pad(kw)
+            g = rng.standard_normal(u.shape)
             with T.Tape() as tape:
-                loss = T.tsum(T.mul(op(u, v), Tensor(probe)))
-                grads.append(tape.grad(loss, [u, v]))
-    clamped = np.abs(np.tanh(v.data) * np.pi) >= ef._phase_limit(np.dtype(np.float64))
-    assert clamped.any() and not clamped.all()
-    for got, want in zip(*grads):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    assert np.all(grads[0][1][clamped] == 0)
+                y = ef.euler_pair_conv(u, v, w, b, pad)
+                grads = tape.grad(T.tsum(T.mul(y, Tensor(g))), [u, v, w, b])
+            with T.Tape() as tape:
+                pairs = composed_pairs(u, v)
+                y_ref, (d_pairs, dw_ref, db_ref) = im2col_conv2d(
+                    pairs.data, w.data, b.data, g, 1, pad, groups=c)
+                du_ref, dv_ref = tape.grad(T.tsum(T.mul(pairs, Tensor(d_pairs))), [u, v])
+            for got, want in zip((y.data, *grads), (y_ref, du_ref, dv_ref, dw_ref, db_ref)):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max(), err_msg=axis)
+            assert np.all(grads[1][clamped] == 0)
 
 
 def test_euler_pairs_refuses_mismatched_logits():
+    w, b = rx((1, 3, 2, 2), 46), T.zeros((2,))
     with pytest.raises(ShapeError, match="euler pairs"):
-        ef.euler_pairs(rx((1, 4, 4, 2), 44), rx((1, 4, 4, 3), 45))
+        ef.euler_pair_conv(rx((1, 4, 4, 2), 44), rx((1, 4, 4, 3), 45), w, b, (0, 0, 1, 1))
+    with pytest.raises(ShapeError, match="euler pair conv"):
+        ef.euler_pair_conv(rx((1, 4, 4, 3), 44), rx((1, 4, 4, 3), 45), w, b, (0, 0, 1, 1))
 
 
 def test_amplitude_and_phase_are_the_expansion_formula():
@@ -215,8 +254,8 @@ def test_amplitude_and_phase_are_the_expansion_formula():
     stream, _ = make_stream(c=3, seed=42)
     x = rx((2, 4, 5, 3), 43, scale=10.0)
     for axis in ("h", "v"):
-        f = stream.expand(x, axis).data
+        re, im = pair_parts(*logits(stream, x, axis))
         a = stream.amplitude(x, axis).data
         th = stream.phase_angle(x, axis).data
-        assert np.array_equal(f[..., 0::2], a * np.cos(th))
-        assert np.array_equal(f[..., 1::2], a * np.sin(th))
+        assert np.array_equal(re, a * np.cos(th))
+        assert np.array_equal(im, a * np.sin(th))

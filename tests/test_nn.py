@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import rdteunet.eulerff as ef
 import rdteunet.nn as nn
 import rdteunet.stairconv as sc
 import rdteunet.tensor as T
@@ -68,22 +69,6 @@ def test_conv_linearity():
     assert np.allclose(lhs.data, rhs, atol=1e-4)
 
 
-def test_conv_groups_match_per_group_convs():
-    x = rt((2, 5, 5, 4), 8)
-    w = rt((3, 3, 2, 6), 9)  # groups=2: 4ch -> 6ch
-    y = nn.conv2d(x, w, pad=(1, 1, 1, 1), groups=2)
-    for g in range(2):
-        xg = Tensor(x.data[..., 2 * g:2 * g + 2])
-        wg = Tensor(w.data[..., :, 3 * g:3 * g + 3])
-        yg = nn.conv2d(xg, wg, pad=(1, 1, 1, 1))
-        assert np.allclose(y.data[..., 3 * g:3 * g + 3], yg.data, atol=1e-5)
-
-
-def test_conv_groups_divisibility_error():
-    with pytest.raises(ConfigError):
-        nn.conv2d(rt((1, 4, 4, 3)), rt((1, 1, 1, 4)), groups=2)
-
-
 def test_conv2d_gradcheck():
     with T.using_dtype(np.float64):
         x = rt((1, 4, 5, 2), 11)
@@ -103,24 +88,14 @@ def test_conv2d_gradcheck():
         assert gradcheck(fw, w, eps=1e-5, tol=1e-6).passed
 
 
-def test_conv_groups_gradcheck():
-    with T.using_dtype(np.float64):
-        x = rt((1, 3, 3, 4), 20)
-        w = rt((1, 3, 2, 2), 21)  # groups=2, 4->2
-
-        def f(v):
-            y = nn.conv2d(x, v, pad=(0, 0, 1, 1), groups=2)
-            return T.tsum(T.mul(y, y))
-
-        assert gradcheck(f, w, eps=1e-5, tol=1e-6).passed
-
-
 # ---------------------------------------------------------------------------
 # conv2d against the im2col oracle
 
-def im2col_conv2d(x, w, b, g, stride, pad, groups):
+def im2col_conv2d(x, w, b, g, stride, pad, groups=1):
     """Test-only oracle: the GEMM-lowered convolution over an explicitly
-    padded input. Returns y and, for output grads g, (dx, dw, db)."""
+    padded input. Returns y and, for output grads g, (dx, dw, db). With
+    groups > 1 it is the grouped convolution (weights (kh, kw, cin/groups,
+    cout)) that checks the Euler pair conv and avg_pool."""
     n, h, wd, cin = x.shape
     kh, kw, cig, cout = w.shape
     pt, pb, pl, pr = pad
@@ -152,46 +127,95 @@ def im2col_conv2d(x, w, b, g, stride, pad, groups):
     return y, (dxp[:, pt:pt + h, pl:pl + wd, :], dw, g.sum(axis=(0, 1, 2)))
 
 
-# id -> (x shape, w shape, stride, pad, groups)
-_ORACLE_CASES = {
-    # every stair branch's extents on the 8x8 and 4x4 maps of stages 4 and 5
-    **{f"stair_{axis}_{level}_{side}_{hw}x{hw}":
-       ((2, hw, hw, 3), (3 * level, 3 * level, 3, 4), 1, sc.stair_pads(axis, level, side, 3), 1)
-       for hw in (4, 8) for level in (1, 2)
-       for axis, side in (("horizontal", "right"), ("horizontal", "left"),
-                          ("vertical", "up"), ("vertical", "down"))},
-    "k6_on_4x4_symmetric": ((2, 4, 4, 3), (6, 6, 3, 4), 1, (3, 3, 3, 3), 1),
-    "k2_stride2": ((2, 6, 6, 3), (2, 2, 3, 5), 2, (0, 0, 0, 0), 1),
-    # pads wider than the kernel: whole output rows/columns see only padding
-    "pad_wider_than_kernel": ((2, 4, 5, 3), (3, 2, 3, 4), 1, (5, 0, 1, 4), 1),
-    "pad_wider_than_kernel_stride2": ((1, 5, 4, 2), (3, 3, 2, 3), 2, (4, 5, 0, 6), 1),
-    "k1": ((2, 5, 4, 3), (1, 1, 3, 4), 1, (0, 0, 0, 0), 1),
-    "groups_c_pairs": ((2, 5, 5, 6), (1, 3, 2, 3), 1, (0, 0, 1, 1), 3),
-    "groups_2_three_out": ((2, 5, 5, 4), (3, 3, 2, 6), 1, (1, 1, 1, 1), 2),
-    # the grouped layouts the model runs: Euler's vertical (re, im) pair conv
-    # and avg_pool's depthwise 3x3 window
-    "euler_group_v_c8": ((2, 6, 5, 16), (3, 1, 2, 8), 1, (1, 1, 0, 0), 8),
-    "avg_pool_depthwise_c8": ((2, 6, 5, 8), (3, 3, 1, 8), 1, (1, 1, 1, 1), 8),
-}
-
-
-@pytest.mark.parametrize("xs, ws, stride, pad, groups", list(_ORACLE_CASES.values()),
-                         ids=list(_ORACLE_CASES))
-def test_conv2d_matches_im2col_oracle(xs, ws, stride, pad, groups):
-    rng = np.random.default_rng(0)
+def _conv2d_vs_oracle(rng, xs, ws, stride, pad):
     x = rng.standard_normal(xs)
     w = rng.standard_normal(ws)
     b = rng.standard_normal(ws[3])
     with T.using_dtype(np.float64):
         xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
         with Tape() as tape:
-            y = nn.conv2d(xt, wt, bt, stride=stride, pad=pad, groups=groups)
+            y = nn.conv2d(xt, wt, bt, stride=stride, pad=pad)
             g = rng.standard_normal(y.shape)
             grads = tape.grad(T.tsum(T.mul(y, Tensor(g))), [xt, wt, bt])
-    y_ref, grads_ref = im2col_conv2d(x, w, b, g, stride, pad, groups)
+    y_ref, grads_ref = im2col_conv2d(x, w, b, g, stride, pad)
+    return y, y_ref, dict(zip(("dx", "dw", "db"), zip(grads, grads_ref)))
+
+
+def _euler_pairs_vs_oracle(rng, xs, ws, stride, pad):
+    # the Euler pair conv: the oracle convolves the interleaved channels
+    # (re_k, im_k) = A*(cos, sin)(theta) as the grouped conv, then closes over
+    # the expansion: dA = dre*cos + dim*sin, dtheta = dim*re - dre*im
+    c = xs[3] // 2
+    u = rng.standard_normal(xs[:3] + (c,))
+    v = rng.standard_normal(xs[:3] + (c,))
+    w = rng.standard_normal(ws)
+    b = rng.standard_normal(ws[3])
+    with T.using_dtype(np.float64):
+        ut, vt, wt, bt = Tensor(u), Tensor(v), Tensor(w), Tensor(b)
+        with Tape() as tape:
+            y = ef.euler_pair_conv(ut, vt, wt, bt, pad)
+            g = rng.standard_normal(y.shape)
+            grads = tape.grad(T.tsum(T.mul(y, Tensor(g))), [ut, vt, wt, bt])
+    theta = np.pi * np.tanh(v)  # |v| stays far below the clamp
+    re, im = np.logaddexp(0, u) * np.cos(theta), np.logaddexp(0, u) * np.sin(theta)
+    x = np.stack([re, im], axis=-1).reshape(xs)
+    y_ref, (dx, dw, db) = im2col_conv2d(x, w, b, g, stride, pad, groups=c)
+    dre, dim = dx[..., 0::2], dx[..., 1::2]
+    du = (dre * np.cos(theta) + dim * np.sin(theta)) / (1 + np.exp(-u))
+    dv = (dim * re - dre * im) * np.pi * (1 - np.tanh(v) ** 2)
+    return y, y_ref, dict(zip(("du", "dv", "dw", "db"), zip(grads, (du, dv, dw, db))))
+
+
+def _avg_pool_vs_oracle(rng, xs, ws, stride, pad):
+    # avg_pool's window: the depthwise grouped conv of ones, over the count of
+    # real pixels in each window (the same conv of a ones map)
+    x = rng.standard_normal(xs)
+    c, k = xs[3], ws[0]
+    with T.using_dtype(np.float64):
+        xt = Tensor(x)
+        with Tape() as tape:
+            y = nn.avg_pool(xt, k)
+            g = rng.standard_normal(y.shape)
+            (dx,) = tape.grad(T.tsum(T.mul(y, Tensor(g))), [xt])
+    counts, _ = im2col_conv2d(np.ones(xs[:3] + (1,)), np.ones((k, k, 1, 1)), np.zeros(1),
+                              np.zeros(xs[:3] + (1,)), stride, pad)
+    sums, (dx_ref, _, _) = im2col_conv2d(x, np.ones(ws), np.zeros(c), g / counts,
+                                         stride, pad, groups=c)
+    return y, sums / counts, {"dx": (dx, dx_ref)}
+
+
+_ORACLE_RUNS = {"conv2d": _conv2d_vs_oracle, "euler_pair_conv": _euler_pairs_vs_oracle,
+                "avg_pool": _avg_pool_vs_oracle}
+
+# id -> (op, x shape, w shape, stride, pad)
+_ORACLE_CASES = {
+    # every stair branch's extents on the 8x8 and 4x4 maps of stages 4 and 5
+    **{f"stair_{axis}_{level}_{side}_{hw}x{hw}":
+       ("conv2d", (2, hw, hw, 3), (3 * level, 3 * level, 3, 4), 1,
+        sc.stair_pads(axis, level, side, 3))
+       for hw in (4, 8) for level in (1, 2)
+       for axis, side in (("horizontal", "right"), ("horizontal", "left"),
+                          ("vertical", "up"), ("vertical", "down"))},
+    "k6_on_4x4_symmetric": ("conv2d", (2, 4, 4, 3), (6, 6, 3, 4), 1, (3, 3, 3, 3)),
+    "k2_stride2": ("conv2d", (2, 6, 6, 3), (2, 2, 3, 5), 2, (0, 0, 0, 0)),
+    # pads wider than the kernel: whole output rows/columns see only padding
+    "pad_wider_than_kernel": ("conv2d", (2, 4, 5, 3), (3, 2, 3, 4), 1, (5, 0, 1, 4)),
+    "pad_wider_than_kernel_stride2": ("conv2d", (1, 5, 4, 2), (3, 3, 2, 3), 2, (4, 5, 0, 6)),
+    "k1": ("conv2d", (2, 5, 4, 3), (1, 1, 3, 4), 1, (0, 0, 0, 0)),
+    # the grouped layouts the model runs, through the ops that compute them:
+    # Euler's vertical (re, im) pair conv and avg_pool's depthwise 3x3 window
+    "euler_group_v_c8": ("euler_pair_conv", (2, 6, 5, 16), (3, 1, 2, 8), 1, (1, 1, 0, 0)),
+    "avg_pool_depthwise_c8": ("avg_pool", (2, 6, 5, 8), (3, 3, 1, 8), 1, (1, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("op, xs, ws, stride, pad", list(_ORACLE_CASES.values()),
+                         ids=list(_ORACLE_CASES))
+def test_conv2d_matches_im2col_oracle(op, xs, ws, stride, pad):
+    y, y_ref, grads = _ORACLE_RUNS[op](np.random.default_rng(0), xs, ws, stride, pad)
     assert y.shape == y_ref.shape
     assert np.allclose(y.data, y_ref, rtol=1e-12, atol=1e-12)
-    for name, got, ref in zip(("dx", "dw", "db"), grads, grads_ref):
+    for name, (got, ref) in grads.items():
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12), name
 
 
@@ -269,22 +293,32 @@ def test_avg_pool_k1_identity():
 
 
 def test_avg_pool_even_k_error():
-    with pytest.raises(ConfigError):
-        nn.avg_pool(rt((1, 4, 4, 1)), k=2)
+    # odd negative k would pass an odd-k check alone
+    for k in (2, -1, -3):
+        with pytest.raises(ConfigError):
+            nn.avg_pool(rt((1, 4, 4, 1)), k=k)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_avg_pool_matches_window_mean_oracle(k):
+    g = np.random.default_rng(54).standard_normal((2, 5, 7, 3))
     with T.using_dtype(np.float64):
         x = rt((2, 5, 7, 3), 53)
-        y = nn.avg_pool(x, k=k).data
+        with Tape() as tape:
+            y = nn.avg_pool(x, k=k)
+            dx = tape.grad(T.tsum(T.mul(y, Tensor(g))), [x])[0]
     p = k // 2
-    expect = np.empty_like(x.data)
+    expect, expect_dx = np.empty_like(x.data), np.zeros_like(x.data)
     for i in range(5):
         for j in range(7):
-            win = x.data[:, max(i - p, 0):i + p + 1, max(j - p, 0):j + p + 1, :]
+            rows, cols = slice(max(i - p, 0), i + p + 1), slice(max(j - p, 0), j + p + 1)
+            win = x.data[:, rows, cols, :]
             expect[:, i, j, :] = win.mean(axis=(1, 2))
-    assert np.allclose(y, expect, rtol=1e-12, atol=1e-12)
+            # output (i, j) hands g/count to every pixel of its window
+            expect_dx[:, rows, cols, :] += (g[:, i, j, :] / (win.shape[1] * win.shape[2]))[
+                :, None, None, :]
+    assert np.allclose(y.data, expect, rtol=1e-12, atol=1e-12)
+    assert np.allclose(dx, expect_dx, rtol=1e-12, atol=1e-12)
 
 
 def test_avg_pool_gradcheck():
@@ -641,6 +675,12 @@ def test_conv_with_extent_refuses_another_extent():
     for shape in ((1, 5, 4, 2), (1, 4, 8, 2), (1, 8, 8, 2)):
         with pytest.raises(ShapeError):
             conv(rt(shape))
+
+
+def test_conv_refuses_an_unknown_pad_string():
+    for pad in ("Same", "full", ""):
+        with pytest.raises(ConfigError, match="pad"):
+            nn.Conv2d(ParamStore(0), "c", 2, 3, 3, pad=pad)
 
 
 def test_conv_with_extent_refuses_an_input_no_tap_sees():
