@@ -291,7 +291,11 @@ def check_loss(tol):
     rng = np.random.default_rng(65)
     labels = rng.integers(0, 3, size=(1, 4, 4))
     x = Tensor(rng.standard_normal((1, 4, 4, 3)))
-    return [gradcheck(lambda v: M.segmentation_loss(v, labels), x, EPS, tol)]
+    # 4 classes with class 2 absent from the labels: its Dice gradient is b_2 alone
+    absent = rng.choice([0, 1, 3], size=(1, 4, 4))
+    x4 = Tensor(rng.standard_normal((1, 4, 4, 4)))
+    return [gradcheck(lambda v: M.segmentation_loss(v, labels), x, EPS, tol),
+            gradcheck(lambda v: M.segmentation_loss(v, absent), x4, EPS, tol)]
 
 
 def check_model_subset(tol):

@@ -190,65 +190,86 @@ class RdteUnet:
 # ---------------------------------------------------------------------------
 # loss
 
-def _label_array(labels, num_classes: int) -> np.ndarray:
-    arr = labels.data if isinstance(labels, Tensor) else np.asarray(labels)
-    ids = np.rint(arr).astype(np.int64)
-    if not np.array_equal(ids, np.asarray(arr, dtype=np.float64)):
-        raise ConfigError("labels must be integral class ids")
-    if ids.min() < 0 or ids.max() >= num_classes:
-        raise ConfigError(
-            f"labels out of range: [{ids.min()}, {ids.max()}] vs {num_classes} classes")
-    return ids
-
-
-def _nll_mean(logp: Tensor, ids: np.ndarray) -> Tensor:
-    k = logp.shape[-1]
-    flat = logp.data.reshape(-1, k)
-    rows = np.arange(flat.shape[0])
-    idx = ids.reshape(-1)
-    picked = flat[rows, idx]
-    out = Tensor(np.asarray(-picked.mean(dtype=logp.data.dtype)))
-
-    def bw(g):
-        dl = np.zeros_like(flat)
-        dl[rows, idx] = -float(g) / picked.size
-        return (dl.reshape(logp.shape),)
-
-    return T._rec(out, (logp,), bw)
-
-
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean per-pixel cross entropy; softmax applied internally."""
-    ids = _label_array(labels, logits.shape[-1])
-    if ids.shape != logits.shape[:-1]:
-        raise ShapeError(f"labels shape {ids.shape} vs logits {logits.shape}")
-    return _nll_mean(T.log_softmax_channels(logits), ids)
-
-
 DICE_EPS = 1e-5  # smoothing term of the soft Dice ratio
 
 
-def soft_dice_loss(logits: Tensor, labels) -> Tensor:
-    """1 - mean soft Dice over foreground classes (background excluded)."""
-    k = logits.shape[-1]
-    ids = _label_array(labels, k)
-    probs = T.softmax_channels(logits)
-    onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
-    np.put_along_axis(onehot, ids[..., None], 1.0, axis=-1)
-    g = Tensor(onehot)
-    axes = tuple(range(logits.data.ndim - 1))
-    inter = T.sum_axes(T.mul(probs, g), axes)
-    psum = T.sum_axes(probs, axes)
-    gsum = Tensor(onehot.sum(axis=axes))
-    dice = T.div(inter * 2.0 + DICE_EPS, T.add(psum, gsum) + DICE_EPS)
-    fg = T.take_channels(dice, list(range(1, k)))
-    mean_dice = T.tsum(fg) * (1.0 / (k - 1))
-    return 1.0 - mean_dice
+def _label_ids(labels, logits_shape: tuple[int, ...]) -> np.ndarray:
+    """The labels as int64 class ids, flat, one per logits position."""
+    k = logits_shape[-1] if logits_shape else 0
+    if k < 2:
+        raise ShapeError(f"the loss needs logits of >= 2 classes, got shape {logits_shape}")
+    if math.prod(logits_shape) == 0:
+        raise ShapeError(f"the loss of an empty batch is undefined: logits {logits_shape}")
+    arr = labels.data if isinstance(labels, Tensor) else np.asarray(labels)
+    if arr.shape != logits_shape[:-1]:
+        raise ShapeError(f"labels shape {arr.shape} vs logits {logits_shape}")
+    ids = np.rint(arr).astype(np.int64)
+    if not np.array_equal(ids, np.asarray(arr, dtype=np.float64)):
+        raise ConfigError("labels must be integral class ids")
+    if ids.min() < 0 or ids.max() >= k:
+        raise ConfigError(f"labels out of range: [{ids.min()}, {ids.max()}] vs {k} classes")
+    return ids.reshape(-1)
 
 
 def segmentation_loss(logits: Tensor, labels) -> Tensor:
-    """0.5 * cross-entropy + 0.5 * (1 - soft Dice); > 0 unless prediction exact."""
-    return cross_entropy(logits, labels) * 0.5 + soft_dice_loss(logits, labels) * 0.5
+    """0.5 * cross-entropy + 0.5 * (1 - mean foreground soft Dice), as one op.
+
+    Over the M = N*H*W positions of the channels-last logits z, with one
+    max-shifted softmax p and the one-hot labels y:
+
+        CE   = -(1/M) sum log p[y]
+        Dice = 1/(K-1) sum_{k>=1} num_k / den_k,
+        num_k = 2 I_k + DICE_EPS,  den_k = P_k + G_k + DICE_EPS,
+
+    with I_k = sum p_k y_k, P_k = sum p_k and G_k = sum y_k per class (the
+    soft Dice of V-Net, Milletari et al., arXiv 1606.04797); background
+    (class 0) is excluded from the Dice mean. > 0 unless prediction exact.
+
+    The backward is closed form. With dp_k = a_k y_k + b_k, where
+    a_k = -1/((K-1) den_k) and b_k = 0.5 num_k / ((K-1) den_k^2) for k >= 1
+    and a_0 = b_0 = 0 (the Dice part's d loss / d p),
+
+        dz = g * [0.5 (p - y) / M + p * (dp - sum_j p_j dp_j)].
+
+    Raises ShapeError for logits of fewer than 2 classes, an empty batch or
+    labels of another shape than logits.shape[:-1], and ConfigError for
+    labels that are not integral class ids in [0, K).
+    """
+    shape = logits.shape
+    ids = _label_ids(labels, shape)
+    k = shape[-1]
+    z = logits.data.reshape(-1, k)
+    dt = z.dtype
+    m = z.shape[0]
+    half, scale = dt.type(0.5), dt.type(1.0 / (k - 1))
+    rows = np.arange(m)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = T.gemv_sum(e, (-1,))
+    p = e / s
+    ce = -(z[rows, ids] - np.log(s[:, 0])).mean(dtype=dt)
+    y = np.zeros_like(p)
+    y[rows, ids] = 1
+    inter = T.gemv_sum(p * y, (0,))
+    num = inter * dt.type(2.0) + dt.type(DICE_EPS)
+    den = T.gemv_sum(p, (0,)) + T.gemv_sum(y, (0,)) + dt.type(DICE_EPS)
+    dice = (num / den)[1:].sum(dtype=dt) * scale
+    out = Tensor(np.asarray(ce * half + (dt.type(1.0) - dice) * half))
+
+    def bw(g):
+        a = -scale / den
+        b = half * scale * num / (den * den)
+        a[0] = b[0] = 0
+        dp = y * a + b
+        dp -= T.gemv_sum(p * dp, (-1,))
+        dp *= p
+        dz = p - y
+        dz *= dt.type(0.5 / m)
+        dz += dp
+        dz *= g
+        return (dz.reshape(shape),)
+
+    return T._rec(out, (logits,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +348,13 @@ class Adam:
     ARENA_BLOCK elements, with the elementwise operations of a per-tensor
     update in the same order, so it gives bit-equal values. The step reads
     `self.store`'s arena each time: after a checkpoint round trip, pointing
-    `store` at the loaded model's store carries the moments over.
+    `store` at the loaded model's store carries the moments over. Raises
+    ConfigError unless lr > 0 (a NaN included).
     """
 
     def __init__(self, store: ParamStore, lr: float = 1e-3):
+        if not lr > 0:
+            raise ConfigError(f"lr must be > 0, got {lr}")
         _retain_freed_heap()
         self.store = store
         self.lr = lr

@@ -106,6 +106,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
         raise ShapeError(f"conv2d expects NHWC input, got shape {x.shape}")
     if w.data.ndim != 4:
         raise ShapeError(f"conv2d expects (kh,kw,cin,cout) weights, got {w.shape}")
+    if stride < 1:
+        raise ConfigError(f"conv2d stride must be >= 1, got {stride}")
     n, h, wd, cin = x.shape
     kh, kw, wcin, cout = w.shape
     pt, pb, pl, pr = pad
@@ -322,6 +324,8 @@ class Conv2d:
             pad = (0, 0, 0, 0)
         elif isinstance(pad, str):
             raise ConfigError(f"{prefix}: pad must be 'same', 'valid' or four ints, got {pad!r}")
+        if stride < 1:
+            raise ConfigError(f"{prefix}: stride must be >= 1, got {stride}")
         self.stride = stride
         self.pad = tuple(pad)
         self.extent = None if extent is None else tuple(extent)

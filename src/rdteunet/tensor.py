@@ -117,44 +117,11 @@ class Tensor:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        """Copy of the underlying buffer (callers can never alias us)."""
-        return self.data.copy()
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self) -> "Tensor":
-        return tsum(self)
-
     def __add__(self, other):
         return add(self, _coerce(other))
 
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
     def __mul__(self, other):
         return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, _coerce(-1.0))
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
@@ -531,16 +498,9 @@ _UNARY = {
 
 
 def _check_binary(a: Tensor, b: Tensor) -> None:
-    if a.shape == b.shape:
-        return
-    if a.size == 1 or b.size == 1:
-        return
-    # channel broadcast: a 1-D operand aligned with the other's last dim
-    if b.data.ndim == 1 and a.data.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        return
-    if a.data.ndim == 1 and b.data.ndim >= 1 and b.shape[-1] == a.shape[0]:
-        return
-    raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}")
+    """Binary ops take equal shapes, or one operand of a single element."""
+    if a.shape != b.shape and a.size != 1 and b.size != 1:
+        raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}")
 
 
 def gemv_sum(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -593,12 +553,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary(np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, a, b)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(np.divide,
-                   lambda g, x, y: g / y,
-                   lambda g, x, y: -g * x / (y * y), a, b)
 
 
 def _unary(name: str, a: Tensor) -> Tensor:
@@ -675,31 +629,9 @@ def softmax_channels(a: Tensor) -> Tensor:
     return _rec(out, (a,), bw)
 
 
-def log_softmax_channels(a: Tensor) -> Tensor:
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = Tensor(z - lse)
-
-    def bw(g):
-        sm = np.exp(out.data)
-        return (g - sm * g.sum(axis=-1, keepdims=True),)
-
-    return _rec(out, (a,), bw)
-
-
 def tsum(a: Tensor) -> Tensor:
     out = Tensor(np.asarray(a.data.sum(dtype=a.data.dtype)))
     return _rec(out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),))
-
-
-def sum_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.sum(axis=axes))
-
-    def bw(g):
-        g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
-
-    return _rec(out, (a,), bw)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -163,10 +163,68 @@ def test_every_parameter_reaches_the_loss(variant):
 # loss
 
 def test_ce_uniform_two_classes_is_ln2():
+    # p = 1/2 everywhere; class 1 is absent, so its Dice is eps / (P + eps) with P = 16/2
     logits = Tensor(np.zeros((1, 4, 4, 2), dtype=np.float32))
     labels = np.zeros((1, 4, 4), dtype=np.int64)
-    ce = M.cross_entropy(logits, labels)
-    assert ce.item() == pytest.approx(np.log(2.0), abs=1e-6)
+    eps = M.DICE_EPS
+    want = 0.5 * np.log(2.0) + 0.5 * (1 - eps / (8 + eps))
+    assert M.segmentation_loss(logits, labels).item() == pytest.approx(want, abs=1e-6)
+
+
+def _loss_case(kind):
+    """(logits, labels) in float64: random 2-class; random 4-class with
+    class 2 absent from the labels; +-8 logits, a quarter of them on a wrong class."""
+    rng = np.random.default_rng({"k2": 20, "k4_absent_class": 21, "confident_8": 22}[kind])
+    if kind == "k2":
+        return rng.standard_normal((1, 4, 4, 2)), rng.integers(0, 2, size=(1, 4, 4))
+    if kind == "k4_absent_class":
+        labels = rng.choice([0, 1, 3], size=(2, 3, 4), p=[0.6, 0.2, 0.2])
+        return 1.5 * rng.standard_normal((2, 3, 4, 4)), labels
+    labels = rng.integers(0, 3, size=(1, 4, 4))
+    hot = np.where(rng.random(labels.shape) < 0.25, (labels + 1) % 3, labels)
+    logits = np.full((1, 4, 4, 3), -8.0)
+    np.put_along_axis(logits, hot[..., None], 8.0, axis=-1)
+    return logits, labels
+
+
+def _loss_oracle(logits, labels):
+    """The loss term by term in plain float64 numpy."""
+    k = logits.shape[-1]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    p = np.exp(logp)
+    y = np.eye(k)[labels]
+    ce = -np.take_along_axis(logp, labels[..., None], axis=-1).mean()
+    axes = tuple(range(logits.ndim - 1))
+    dice = (2 * (p * y).sum(axis=axes) + M.DICE_EPS) / (p.sum(axis=axes) + y.sum(axis=axes)
+                                                       + M.DICE_EPS)
+    return 0.5 * ce + 0.5 * (1 - dice[1:].mean())
+
+
+LOSS_CASES = ["k2", "k4_absent_class", "confident_8"]
+
+
+@pytest.mark.parametrize("kind", LOSS_CASES)
+def test_loss_matches_numpy_oracle_float64(kind):
+    logits, labels = _loss_case(kind)
+    with T.using_dtype(np.float64):
+        got = M.segmentation_loss(Tensor(logits), labels).item()
+    assert got == pytest.approx(_loss_oracle(logits, labels), rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", LOSS_CASES)
+def test_loss_gradcheck_float64(kind):
+    logits, labels = _loss_case(kind)
+    with T.using_dtype(np.float64):
+        x = Tensor(logits)
+        with Tape() as tape:
+            M.segmentation_loss(x, labels)
+        assert len(tape) == 1
+        # the +-8 case's correct-class gradients are ~1e-8, under gradcheck's
+        # 1e-6 floor, so at eps 1e-5 the loss's float64 rounding over 2 eps
+        # alone reads 4e-5; at 1e-3 each case's error is under 2e-7
+        rep = T.gradcheck(lambda v: M.segmentation_loss(v, labels), x, eps=1e-3, tol=1e-6)
+    assert rep.passed, rep.max_rel_err
 
 
 def test_strongly_correct_logits_near_zero_loss():
@@ -185,10 +243,15 @@ def test_strongly_correct_logits_near_zero_loss():
     assert 0.0 < loss8.item() < 1e-3
 
 
-def test_label_range_error():
-    logits = Tensor(np.zeros((1, 2, 2, 3), dtype=np.float32))
-    with pytest.raises(ConfigError):
-        M.segmentation_loss(logits, np.full((1, 2, 2), 3))
+@pytest.mark.parametrize("logits_shape, label, error", [
+    ((1, 2, 2, 3), 3, ConfigError),
+    ((1, 2, 2, 1), 0, ShapeError),
+    ((0, 2, 2, 3), 0, ShapeError),
+], ids=["label_range", "one_class", "empty_batch"])
+def test_label_range_error(logits_shape, label, error):
+    logits = Tensor(np.zeros(logits_shape, dtype=np.float32))
+    with pytest.raises(error):
+        M.segmentation_loss(logits, np.full(logits_shape[:-1], label))
 
 
 def test_loss_positive_unless_exact():
@@ -212,6 +275,14 @@ def test_adam_descends_quadratic():
             T.backward(tape, loss, store)
         opt.step()
     assert np.allclose(store.value("w").data, target, atol=1e-2)
+
+
+@pytest.mark.parametrize("lr", [-1.0, 0.0, np.nan])
+def test_adam_rejects_non_positive_lr(lr):
+    store = T.ParamStore(0)
+    store.add("w", Tensor(np.zeros(3, dtype=np.float32)))
+    with pytest.raises(ConfigError, match="lr"):
+        M.Adam(store, lr=lr)
 
 
 @pytest.mark.parametrize("max_norm", [-1.0, 0.0, np.nan])
