@@ -58,6 +58,8 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
     (N*h*w, n*n*c) sample view. The input gradient is one bincount per
     channel over all corners' pixel indices; the size gradient contracts the
     channels of each corner first and combines the corners at grid size.
+    The backward gathers the corner pixels again from x rather than keeping
+    the forward's (4, n*n*N*h*w, c) gather alive until the sweep.
     """
     nb, h, wd, c = x.shape
     if sizes.shape != (nb, h, wd, 2):
@@ -93,12 +95,18 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
         np.logical_and(y_in, x_in, out=inside[k])
         np.multiply(wy, wx, out=weight[k])
     flat, inside, weight = (a.reshape(4, -1) for a in (flat, inside, weight))
-    # the four corners' pixels, (4, n*n*m, c), summed in corner order
-    vals = np.take(x.data.reshape(m, c), flat.reshape(-1), axis=0).reshape(4, -1, c)
-    samples = np.einsum("kp,kpc->pc", weight, vals)
+    pixels = x.data.reshape(m, c)
+
+    def corner_values():
+        """The four corners' pixels, (4, n*n*m, c): one row gather."""
+        return np.take(pixels, flat.reshape(-1), axis=0).reshape(4, -1, c)
+
+    # summed in corner order
+    samples = np.einsum("kp,kpc->pc", weight, corner_values())
     # (n*n, m, c) -> (m, n*n*c): the kernel's (u, v, c) order per position
     s2 = samples.reshape(nn2, m, c).transpose(1, 0, 2).reshape(m, nn2 * c)
     wmat = w.data.reshape(nn2 * c, cout)
+    x_shape, w_shape = x.shape, w.shape
     # (w^T s^T)^T rather than s w: the operand order of einsum's matmul path
     # for this contraction, so the rounding is the direct form's at every shape
     out_arr = (wmat.T @ s2.T).T.reshape(nb, h, wd, cout)
@@ -107,7 +115,7 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(m, cout)
-        dw = (g2.T @ s2).T.reshape(w.shape)
+        dw = (g2.T @ s2).T.reshape(w_shape)
         db = g.sum(axis=(0, 1, 2))
         # sample grads in grid order, as (n*n*m, c) and per channel (n*n, c, m)
         ds = np.matmul(g2, wmat.reshape(nn2, c, cout).transpose(0, 2, 1)).reshape(-1, c)
@@ -122,6 +130,7 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
                                     minlength=m)
 
         # e_k: each corner's channel dot with ds, zero outside the image
+        vals = corner_values()
         e00, e01, e10, e11 = (
             (np.einsum("pc,pc->p", ds, vals[k]) * inside[k]).reshape(grid)
             for k in range(4))
@@ -131,7 +140,7 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
         dhalf_h = (dpy * lin_u).sum(axis=(0, 1))
         dhalf_w = (dpx * lin_v).sum(axis=(0, 1))
         dsizes = np.stack([dhalf_h, dhalf_w], axis=-1) * dt.type(0.5)
-        return dx.reshape(x.shape), dsizes, dw, db
+        return dx.reshape(x_shape), dsizes, dw, db
 
     return _rec(out, (x, sizes, w, b), bw)
 

@@ -159,8 +159,11 @@ def write_sample(sample: SegSample, d, index: int) -> None:
 
 
 def read_sample(d, index: int, num_classes: int | None = None) -> SegSample:
+    """Sample `index` of directory `d`: an (H, W, 1) image and its (H, W) mask."""
     img = read_rdtf(_img_path(d, index))
     ids = read_pgm(_msk_path(d, index))
+    if len(img.shape) != 3 or img.shape[2] != 1:
+        raise FormatError(f"image of sample {index} has shape {img.shape}, not (H, W, 1)")
     if img.shape[:2] != ids.shape:
         raise FormatError(
             f"image {img.shape} and mask {ids.shape} disagree for sample {index}")
@@ -211,5 +214,10 @@ def read_dataset(d) -> tuple[list[SegSample], dict]:
         if not (_img_path(d, i).is_file() and _msk_path(d, i).is_file()):
             raise FormatError(f"manifest lists {manifest['count']} samples but sample {i} "
                               f"is missing from {d}")
+    size = manifest["size"]
     samples = [read_sample(d, i, manifest["classes"]) for i in range(manifest["count"])]
+    for i, s in enumerate(samples):
+        if s.mask.shape != (size, size):
+            raise FormatError(f"sample {i} is {s.mask.shape[0]}x{s.mask.shape[1]} but the "
+                              f"manifest in {d} says size {size}")
     return samples, manifest

@@ -49,7 +49,8 @@ def euler_pair_conv(u: Tensor, v: Tensor, w: Tensor, b: Tensor,
     im_k*w[i, j, 1, k] over the pixels the tap sees (`nn._tap_spans`).
 
     The backward takes d(re), d(im), dw and db tap by tap, then closes over
-    the expansion reusing the forward's cos, sin, re and im:
+    the expansion reusing the forward's A, cos and sin; it keeps no re or im
+    but recomputes them as the same products A*cos and A*sin:
     dA = d(re)*cos + d(im)*sin, dtheta = d(im)*re - d(re)*im,
     du = dA*sigmoid(u), and dv = dtheta*pi*(1 - tanh(v)^2) where the clamp
     is not engaged, zero where it is.
@@ -67,39 +68,40 @@ def euler_pair_conv(u: Tensor, v: Tensor, w: Tensor, b: Tensor,
     rows, cols = nn._tap_spans(oh, h, pt, kh, 1), nn._tap_spans(ow, wd, pl, kw, 1)
     taps = [(i, j, rs, cs) for i, rs in enumerate(rows) if rs for j, cs in enumerate(cols) if cs]
 
-    a = T._softplus(u.data)
-    theta = _phase(v.data)
+    ua, va, wa = u.data, v.data, w.data
+    a = T._softplus(ua)
+    theta = _phase(va)
     cos, sin = np.cos(theta), np.sin(theta)
     re, im = a * cos, a * sin
-    y = np.full((n, oh, ow, c), b.data, dtype=u.data.dtype)
+    y = np.full((n, oh, ow, c), b.data, dtype=ua.dtype)
     for i, j, (ro, ri), (co, ci) in taps:
-        y[:, ro, co] += re[:, ri, ci] * w.data[i, j, 0]
-        y[:, ro, co] += im[:, ri, ci] * w.data[i, j, 1]
-    out = Tensor(y)
+        y[:, ro, co] += re[:, ri, ci] * wa[i, j, 0]
+        y[:, ro, co] += im[:, ri, ci] * wa[i, j, 1]
 
     def bw(g):
         gc = np.ascontiguousarray(g)
+        re, im = a * cos, a * sin
         d_re, d_im = np.zeros_like(re), np.zeros_like(im)
-        dw = np.empty(w.shape, dtype=w.data.dtype)
+        dw = np.empty(wa.shape, dtype=wa.dtype)
         # taps that see no pixel (a kernel row or column beyond the image) get zeros
         dw[[i for i, rs in enumerate(rows) if rs is None]] = 0
         dw[:, [j for j, cs in enumerate(cols) if cs is None]] = 0
         for i, j, (ro, ri), (co, ci) in taps:
             for m, (part, d_part) in enumerate(((re, d_re), (im, d_im))):
-                d_part[:, ri, ci] += gc[:, ro, co] * w.data[i, j, m]
+                d_part[:, ri, ci] += gc[:, ro, co] * wa[i, j, m]
                 dw[i, j, m] = np.einsum("nhwk,nhwk->k", part[:, ri, ci], gc[:, ro, co])
         du = d_re * cos
         du += d_im * sin
-        du *= T._sigmoid(u.data)
+        du *= T._sigmoid(ua)
         dv = d_im * re
         dv -= d_re * im
-        pi = v.data.dtype.type(np.pi)
-        t = np.tanh(v.data)
-        dv *= np.abs(t * pi) < _phase_limit(v.data.dtype)  # the clamp's zero gradient
+        pi = va.dtype.type(np.pi)
+        t = np.tanh(va)
+        dv *= np.abs(t * pi) < _phase_limit(va.dtype)  # the clamp's zero gradient
         dv *= pi * (1 - t * t)
         return du, dv, dw, T.gemv_sum(g, (0, 1, 2))
 
-    return T._rec(out, (u, v, w, b), bw)
+    return T._rec(Tensor(y), (u, v, w, b), bw)
 
 
 # per axis, the (kh, kw) of its amplitude, phase and pair convs

@@ -141,7 +141,12 @@ def hd95_oracle(pred, gt) -> float:
 def evaluate(forward_fn, samples, num_classes: int, batch: int = 4) -> dict:
     """Per-class one-vs-rest DSC/HD95 over a dataset, reported in the
     tables' shape: per foreground class plus means. A class absent from a
-    sample's ground truth skips that sample for that class."""
+    sample's ground truth skips that sample for that class.
+
+    Raises ShapeError when `forward_fn` does not return (len(chunk), H, W,
+    num_classes) logits for a chunk of (H, W) images, or a mask is not
+    (H, W), and ConfigError for a mask value that is not an integral class
+    id in [0, num_classes)."""
     if batch < 1:
         raise ConfigError(f"evaluate needs batch >= 1, got {batch}")
     if num_classes < 2:
@@ -151,14 +156,25 @@ def evaluate(forward_fn, samples, num_classes: int, batch: int = 4) -> dict:
         raise ShapeError("evaluate needs a non-empty dataset")
     per_class: dict[int, dict[str, list]] = {
         c: {"dsc": [], "hd95": [], "sentinels": 0} for c in range(1, num_classes)}
-    preds = []
+    preds, gts = [], []
     for start in range(0, len(samples), batch):
         chunk = samples[start:start + batch]
         x = Tensor(np.stack([s.image.data for s in chunk]))
-        logits = forward_fn(x, training=False)
-        preds.extend(np.argmax(logits.data[i], axis=-1) for i in range(len(chunk)))
-    for s, pred in zip(samples, preds):
-        gt = np.rint(s.mask.data).astype(np.int64)
+        logits = forward_fn(x, training=False).data
+        want = (len(chunk),) + x.shape[1:3] + (num_classes,)
+        if logits.shape != want:
+            raise ShapeError(f"forward gave logits of shape {logits.shape}, expected {want}")
+        if any(s.mask.shape != want[1:3] for s in chunk):
+            raise ShapeError(f"a mask of samples {start}..{start + len(chunk) - 1} is not "
+                             f"{want[1]}x{want[2]} like its image")
+        masks = np.stack([s.mask.data for s in chunk])
+        ids = np.rint(masks)
+        if not (np.array_equal(ids, masks) and 0 <= ids.min() and ids.max() < num_classes):
+            raise ConfigError(f"masks of samples {start}..{start + len(chunk) - 1} hold "
+                              f"values that are not class ids in [0, {num_classes})")
+        preds.extend(np.argmax(logits, axis=-1))
+        gts.extend(ids.astype(np.int64))
+    for pred, gt in zip(preds, gts):
         for c in range(1, num_classes):
             gt_c = gt == c
             if not gt_c.any():

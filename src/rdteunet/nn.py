@@ -124,26 +124,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
 
     rows, cols = _tap_spans(oh, h, pt, kh, stride), _tap_spans(ow, wd, pl, kw, stride)
     taps = [(i, j, r, c) for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
-    y = np.full((n, oh, ow, cout), 0 if b is None else b.data, dtype=x.data.dtype)
+    xa, wa = x.data, w.data
+    y = np.full((n, oh, ow, cout), 0 if b is None else b.data, dtype=xa.dtype)
     for i, j, (ro, ri), (co, ci) in taps:
-        _tap_madd(y[:, ro, co], x.data[:, ri, ci], w.data[i, j])
-    out = Tensor(y)
+        _tap_madd(y[:, ro, co], xa[:, ri, ci], wa[i, j])
+    has_bias = b is not None
 
     def bw(g):
-        dx = np.zeros(x.shape, dtype=x.data.dtype)
-        dw = np.empty(w.shape, dtype=w.data.dtype)
+        dx = np.zeros(xa.shape, dtype=xa.dtype)
+        dw = np.empty(wa.shape, dtype=wa.dtype)
         # taps that see no pixel (a kernel row or column beyond the image) get zeros
         dw[[i for i, r in enumerate(rows) if r is None]] = 0
         dw[:, [j for j, c in enumerate(cols) if c is None]] = 0
         for i, j, (ro, ri), (co, ci) in taps:
-            _tap_madd(dx[:, ri, ci], g[:, ro, co], w.data[i, j].T)
-            _tap_weight_grad(dw[i, j], x.data[:, ri, ci], g[:, ro, co])
-        if b is None:
+            _tap_madd(dx[:, ri, ci], g[:, ro, co], wa[i, j].T)
+            _tap_weight_grad(dw[i, j], xa[:, ri, ci], g[:, ro, co])
+        if not has_bias:
             return dx, dw
         return dx, dw, T.gemv_sum(g, (0, 1, 2))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _rec(out, inputs, bw)
+    return _rec(Tensor(y), (x, w, b) if has_bias else (x, w), bw)
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -166,23 +166,23 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     rows, cols = _tap_spans(h, 2 * h, 0, 2, 2), _tap_spans(wd, 2 * wd, 0, 2, 2)
     taps = [(i, j, r, c) for i, r in enumerate(rows) for j, c in enumerate(cols)]
-    y = np.full((n, 2 * h, 2 * wd, cout), 0 if b is None else b.data, dtype=x.data.dtype)
+    xa, wa = x.data, w.data
+    y = np.full((n, 2 * h, 2 * wd, cout), 0 if b is None else b.data, dtype=xa.dtype)
     for i, j, (ro, ri), (co, ci) in taps:
-        _tap_madd(y[:, ri, ci], x.data[:, ro, co], w.data[i, j].T)
-    out = Tensor(y)
+        _tap_madd(y[:, ri, ci], xa[:, ro, co], wa[i, j].T)
+    has_bias = b is not None
 
     def bw(g):
-        dx = np.zeros_like(x.data)
-        dw = np.empty_like(w.data)  # every one of the four taps is live
+        dx = np.zeros_like(xa)
+        dw = np.empty_like(wa)  # every one of the four taps is live
         for i, j, (ro, ri), (co, ci) in taps:
-            _tap_madd(dx[:, ro, co], g[:, ri, ci], w.data[i, j])
-            _tap_weight_grad(dw[i, j], g[:, ri, ci], x.data[:, ro, co])
-        if b is None:
+            _tap_madd(dx[:, ro, co], g[:, ri, ci], wa[i, j])
+            _tap_weight_grad(dw[i, j], g[:, ri, ci], xa[:, ro, co])
+        if not has_bias:
             return dx, dw
         return dx, dw, T.gemv_sum(g, (0, 1, 2))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _rec(out, inputs, bw)
+    return _rec(Tensor(y), (x, w, b) if has_bias else (x, w), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +203,25 @@ def avg_pool(x: Tensor, k: int) -> Tensor:
         raise ConfigError(f"same-padding average pooling needs an odd k >= 1, got {k}")
     if x.data.ndim != 4:
         raise ShapeError(f"avg_pool expects NHWC input, got {x.shape}")
-    h, wd = x.shape[1:3]
+    shape, dt = x.shape, x.data.dtype
+    h, wd = shape[1:3]
     p = k // 2
     taps = [(r, c) for r in _tap_spans(h, h, p, k, 1) if r
             for c in _tap_spans(wd, wd, p, k, 1) if c]
     counts = np.outer(_window_counts(h, p), _window_counts(wd, p))
-    inv = (1.0 / counts)[:, :, None].astype(x.data.dtype)
-    sums = np.zeros(x.shape, dtype=x.data.dtype)
+    inv = (1.0 / counts)[:, :, None].astype(dt)
+    sums = np.zeros(shape, dtype=dt)
     for (ro, ri), (co, ci) in taps:
         sums[:, ro, co] += x.data[:, ri, ci]
-    out = Tensor(sums * inv)
 
     def bw(g):
         gi = g * inv
-        dx = np.zeros(x.shape, dtype=x.data.dtype)
+        dx = np.zeros(shape, dtype=dt)
         for (ro, ri), (co, ci) in taps:
             dx[:, ri, ci] += gi[:, ro, co]
         return (dx,)
 
-    return _rec(out, (x,), bw)
+    return _rec(Tensor(sums * inv), (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +245,12 @@ def _standardize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...]):
     var = T.gemv_sum(xh * xh, axes) / count
     ivar = 1.0 / np.sqrt(var + x.data.dtype.type(NORM_EPS))
     xh *= ivar
-    out = Tensor(gamma.data * xh + beta.data)
+    ga = gamma.data
+    out = Tensor(ga * xh + beta.data)
     param_axes = tuple(range(x.data.ndim - 1))
 
     def bw(g):
-        dxh = g * gamma.data
+        dxh = g * ga
         m1 = T.gemv_sum(dxh, axes) / count
         m2 = T.gemv_sum(dxh * xh, axes) / count
         dx = ivar * (dxh - m1 - xh * m2)
@@ -280,13 +281,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         raise ShapeError(f"norm affine shape mismatch for {c} channels")
     ivar = 1.0 / np.sqrt(running_var + x.data.dtype.type(NORM_EPS))
     xh = (x.data - running_mean) * ivar
-    out = Tensor(gamma.data * xh + beta.data)
+    ga = gamma.data
 
     def bw_eval(g):
-        return (g * gamma.data * ivar, T.gemv_sum(g * xh, (0, 1, 2)),
-                T.gemv_sum(g, (0, 1, 2)))
+        return (g * ga * ivar, T.gemv_sum(g * xh, (0, 1, 2)), T.gemv_sum(g, (0, 1, 2)))
 
-    return _rec(out, (x, gamma, beta), bw_eval)
+    return _rec(Tensor(ga * xh + beta.data), (x, gamma, beta), bw_eval)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

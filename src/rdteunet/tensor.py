@@ -18,11 +18,21 @@ view into the grad arena.
 The optimizer is the single writer of the value arena and writes it only
 between steps, so a value read during a forward and backward stays fixed
 for that step. A caller that keeps a parameter value across a step copies it.
+
+A Tape holds no Tensor. Each Tensor has a `node` id, drawn from one counter
+and never reused, and a tape entry is the node id of an op's output, the
+node ids of its inputs and the op's backward closure. A closure keeps only
+the arrays and shapes its own backward reads, so an activation that no
+backward reads is freed as soon as the forward drops its last Python name.
+`Tape.grad` consumes its tape: it pops each entry before it runs the
+entry's closure, so the sweep frees what the forward saved as it goes, and
+a second sweep of the same tape raises ConfigError.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import struct
@@ -88,10 +98,14 @@ class using_dtype:
 # ---------------------------------------------------------------------------
 # Tensor
 
-class Tensor:
-    """Immutable dense array of floats with shape metadata."""
+_nodes = itertools.count()
 
-    __slots__ = ("data",)
+
+class Tensor:
+    """Immutable dense array of floats with shape metadata, and the unique
+    `node` id that names it on a tape."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data: np.ndarray):
         arr = np.asarray(data)
@@ -103,6 +117,7 @@ class Tensor:
                 arr = arr.copy()
             arr.setflags(write=False)
         self.data = arr
+        self.node = next(_nodes)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -170,13 +185,17 @@ def _tapes() -> list:
 class Tape:
     """Ordered record of operations for one forward pass.
 
-    Entries are appended in execution order, so inputs always precede the
-    entry that consumes them; the backward sweep walks the list once in
-    reverse. A tape is single-threaded and thrown away after use.
+    An entry is `(output node, input nodes, backward closure)`: node ids and
+    a closure, never a Tensor, and the closure keeps only what its backward
+    reads. Entries are appended in execution order, so inputs always precede
+    the entry that consumes them. `grad` consumes the tape: its sweep pops
+    the entries in reverse, each before its closure runs, and a second
+    sweep raises ConfigError. A tape is single-threaded.
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._entries: list[tuple[int, tuple[int, ...], Callable]] = []
+        self._swept = False
 
     def __enter__(self):
         _tapes().append(self)
@@ -191,7 +210,7 @@ class Tape:
         return len(self._entries)
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> None:
-        self._entries.append((out, inputs, backward))
+        self._entries.append((out.node, tuple(t.node for t in inputs), backward))
 
     def grad(self, loss: Tensor, wrt: Iterable[Tensor],
              out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
@@ -200,37 +219,40 @@ class Tape:
         Tensors unreachable from the loss get zero gradients. With `out`, one
         writable array per tensor of `wrt`, each gradient is accumulated in
         its array during the sweep (the first contribution copied, later ones
-        added in place), and `out` is returned.
+        added in place), and `out` is returned. The sweep empties the tape;
+        a tape already swept raises ConfigError.
         """
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
+        if self._swept:
+            raise ConfigError("this tape was already swept; record the forward on a new tape")
+        self._swept = True
         wrt = list(wrt)
-        keep = {id(t) for t in wrt}
-        slots = {} if out is None else {id(t): s for t, s in zip(wrt, out)}
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for entry_out, inputs, backward in reversed(self._entries):
-            g = grads.get(id(entry_out))
+        keep = {t.node for t in wrt}
+        slots = {} if out is None else {t.node: s for t, s in zip(wrt, out)}
+        grads: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
+        entries = self._entries
+        while entries:
+            node, inputs, backward = entries.pop()
+            g = grads.get(node) if node in keep else grads.pop(node, None)
             if g is None:
                 continue
-            if id(entry_out) not in keep:
-                del grads[id(entry_out)]
-            in_grads = backward(g)
-            for t, gt in zip(inputs, in_grads):
+            for i, gt in zip(inputs, backward(g)):
                 if gt is None:
                     continue
-                acc = grads.get(id(t))
-                slot = slots.get(id(t))
+                acc = grads.get(i)
+                slot = slots.get(i)
                 if slot is None:
-                    grads[id(t)] = gt if acc is None else acc + gt
+                    grads[i] = gt if acc is None else acc + gt
                 elif acc is None:
                     np.copyto(slot, gt)
-                    grads[id(t)] = slot
+                    grads[i] = slot
                 else:
                     slot += gt
         if out is None:
-            return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]
+            return [grads.get(t.node, np.zeros_like(t.data)) for t in wrt]
         for t, slot in zip(wrt, out):
-            g = grads.get(id(t))
+            g = grads.get(t.node)
             if g is None:
                 slot.fill(0)
             elif g is not slot:  # the loss itself, or a tensor listed twice in `wrt`
@@ -483,17 +505,17 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
 
+# per op: the forward, whether the backward reads the output y (else the
+# input x), and the backward from that one array and the output grad g
 _UNARY = {
-    "relu": (
-        lambda x: np.maximum(x, 0),
-        lambda x, y, g: g * (x > 0),  # subgradient at 0 is 0
-    ),
-    "tanh": (np.tanh, lambda x, y, g: g * (1 - y * y)),
-    "cos": (np.cos, lambda x, y, g: -g * np.sin(x)),
-    "sin": (np.sin, lambda x, y, g: g * np.cos(x)),
-    "softplus": (_softplus, lambda x, y, g: g * _sigmoid(x)),
-    "exp": (np.exp, lambda x, y, g: g * y),
-    "sigmoid": (_sigmoid, lambda x, y, g: g * y * (1 - y)),
+    "relu": (lambda x: np.maximum(x, 0), True,
+             lambda y, g: g * (y > 0)),  # y > 0 exactly where x > 0; subgradient at 0 is 0
+    "tanh": (np.tanh, True, lambda y, g: g * (1 - y * y)),
+    "cos": (np.cos, False, lambda x, g: -g * np.sin(x)),
+    "sin": (np.sin, False, lambda x, g: g * np.cos(x)),
+    "softplus": (_softplus, False, lambda x, g: g * _sigmoid(x)),
+    "exp": (np.exp, True, lambda y, g: g * y),
+    "sigmoid": (_sigmoid, True, lambda y, g: g * y * (1 - y)),
 }
 
 
@@ -532,34 +554,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(fwd, dfa, dfb, a: Tensor, b: Tensor) -> Tensor:
-    _check_binary(a, b)
-    out = Tensor(fwd(a.data, b.data))
-
-    def bw(g):
-        return (_unbroadcast(dfa(g, a.data, b.data), a.shape),
-                _unbroadcast(dfb(g, a.data, b.data), b.shape))
-
-    return _rec(out, (a, b), bw)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(np.add, lambda g, x, y: g, lambda g, x, y: g, a, b)
+    _check_binary(a, b)
+    sa, sb = a.shape, b.shape
+    return _rec(Tensor(a.data + b.data), (a, b),
+                lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(np.subtract, lambda g, x, y: g, lambda g, x, y: -g, a, b)
+    _check_binary(a, b)
+    sa, sb = a.shape, b.shape
+    return _rec(Tensor(a.data - b.data), (a, b),
+                lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, a, b)
+    _check_binary(a, b)
+    x, y = a.data, b.data
+    return _rec(Tensor(x * y), (a, b),
+                lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
 def _unary(name: str, a: Tensor) -> Tensor:
-    fwd, bwd = _UNARY[name]
-    y = fwd(a.data)
-    out = Tensor(y)
-    return _rec(out, (a,), lambda g: (bwd(a.data, out.data, g),))
+    fwd, reads_output, bwd = _UNARY[name]
+    out = Tensor(fwd(a.data))
+    saved = out.data if reads_output else a.data
+    return _rec(out, (a,), lambda g: (bwd(saved, g),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -568,13 +588,13 @@ def relu(a: Tensor) -> Tensor:
 
 def silu(a: Tensor) -> Tensor:
     # dedicated op so the sigmoid is computed once and reused in backward
-    s = _sigmoid(a.data)
-    out = Tensor(a.data * s)
+    x = a.data
+    s = _sigmoid(x)
 
     def bw(g):
-        return (g * (s * (1 + a.data * (1 - s))),)
+        return (g * (s * (1 + x * (1 - s))),)
 
-    return _rec(out, (a,), bw)
+    return _rec(Tensor(x * s), (a,), bw)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -611,9 +631,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                          f"batch shapes, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dims differ: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
-    return _rec(out, (a, b), lambda g: (g @ np.swapaxes(b.data, -1, -2),
-                                        np.swapaxes(a.data, -1, -2) @ g))
+    x, y = a.data, b.data
+    return _rec(Tensor(x @ y), (a, b), lambda g: (g @ np.swapaxes(y, -1, -2),
+                                                  np.swapaxes(x, -1, -2) @ g))
 
 
 def softmax_channels(a: Tensor) -> Tensor:
@@ -621,22 +641,24 @@ def softmax_channels(a: Tensor) -> Tensor:
     max subtraction."""
     e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
     out = Tensor(e / e.sum(axis=-1, keepdims=True))
+    p = out.data
 
     def bw(g):
-        dot = (g * out.data).sum(axis=-1, keepdims=True)
-        return ((g - dot) * out.data,)
+        dot = (g * p).sum(axis=-1, keepdims=True)
+        return ((g - dot) * p,)
 
     return _rec(out, (a,), bw)
 
 
 def tsum(a: Tensor) -> Tensor:
-    out = Tensor(np.asarray(a.data.sum(dtype=a.data.dtype)))
-    return _rec(out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),))
+    shape, dt = a.shape, a.data.dtype
+    out = Tensor(np.asarray(a.data.sum(dtype=dt)))
+    return _rec(out, (a,), lambda g: (np.broadcast_to(g, shape).astype(dt, copy=False),))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    return _rec(out, (a,), lambda g: (g.reshape(a.shape),))
+    in_shape = a.shape
+    return _rec(Tensor(a.data.reshape(shape)), (a,), lambda g: (g.reshape(in_shape),))
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -657,9 +679,10 @@ def take_channels(a: Tensor, idx: Sequence[int]) -> Tensor:
     channel sums its gradients."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(np.take(a.data, idx, axis=-1))
+    shape, dt = a.shape, a.data.dtype
 
     def bw(g):
-        acc = np.zeros_like(a.data)
+        acc = np.zeros(shape, dtype=dt)
         np.add.at(acc, (..., idx), g)
         return (acc,)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rdteunet.datasynth as ds
-from rdteunet.tensor import ConfigError, FormatError, TruncationError
+from rdteunet.tensor import ConfigError, FormatError, Tensor, TruncationError, write_rdtf
 
 
 def test_spec_validation():
@@ -105,6 +105,26 @@ def test_manifest_count_beyond_samples_error(tmp_path):
     ds.write_dataset(ds.generate(ds.GenSpec(count=1, seed=4)), tmp_path,
                      ds.GenSpec(count=2, seed=4))
     with pytest.raises(FormatError, match="sample 1 is missing"):
+        ds.read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("image_shape", [(32, 32), (32, 32, 3), (1, 32, 32, 1)],
+                         ids=["no_channel_axis", "three_channels", "batched"])
+def test_image_that_is_not_h_w_1_error(tmp_path, image_shape):
+    ds.write_dataset(ds.generate(ds.GenSpec(count=1, size=32, seed=4)), tmp_path,
+                     ds.GenSpec(count=1, size=32, seed=4))
+    write_rdtf(tmp_path / "img_00000.rdtf", Tensor(np.zeros(image_shape, np.float32)))
+    with pytest.raises(FormatError, match=r"not \(H, W, 1\)"):
+        ds.read_sample(tmp_path, 0)
+    with pytest.raises(FormatError):
+        ds.read_dataset(tmp_path)
+
+
+def test_sample_size_differs_from_manifest_error(tmp_path):
+    # 32x32 samples under a manifest that says size 64
+    ds.write_dataset(ds.generate(ds.GenSpec(count=2, size=32, seed=4)), tmp_path,
+                     ds.GenSpec(count=2, size=64, seed=4))
+    with pytest.raises(FormatError, match="size 64"):
         ds.read_dataset(tmp_path)
 
 

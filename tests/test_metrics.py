@@ -210,3 +210,41 @@ def test_evaluate_rejects_bad_arguments_before_any_forward(kwargs):
     with pytest.raises(ConfigError):
         mx.evaluate(model, samples, **args)
     assert calls == []
+
+
+def _with_mask_value(sample, value):
+    mask = sample.mask.data.copy()
+    mask[0, 0] = value
+    return ds.SegSample(image=sample.image, mask=Tensor(mask))
+
+
+@pytest.mark.parametrize("case, error", [
+    ("three_class_logits", ShapeError),   # a forward of 3 classes scored as 4
+    ("one_logits_row_short", ShapeError),  # fewer logits rows than images
+    ("logits_wrong_size", ShapeError),     # logits of another spatial size
+    ("class_7_in_mask", ConfigError),      # was silently counted as background
+    ("negative_id", ConfigError),
+    ("fractional_id", ConfigError),
+    ("nan_id", ConfigError),
+])
+def test_evaluate_rejects_inconsistent_logits_and_masks(case, error):
+    samples = ds.generate(ds.GenSpec(count=3, seed=17))
+    classes, rows, size = 4, None, None
+    if case == "three_class_logits":
+        classes = 3
+    elif case == "one_logits_row_short":
+        rows = 1
+    elif case == "logits_wrong_size":
+        size = 32
+    else:
+        value = {"class_7_in_mask": 7.0, "negative_id": -1.0, "fractional_id": 1.5,
+                 "nan_id": np.nan}[case]
+        samples[2] = _with_mask_value(samples[2], value)
+
+    def model(x, training=False):
+        n = x.shape[0] if rows is None else rows
+        h = w = x.shape[1] if size is None else size
+        return Tensor(np.zeros((n, h, w, classes), dtype=np.float32))
+
+    with pytest.raises(error):
+        mx.evaluate(model, samples, num_classes=4, batch=2)

@@ -159,6 +159,37 @@ def test_every_parameter_reaches_the_loss(variant):
     assert not dead, f"{len(dead)} parameter tensors never reach the loss: {dead[:8]}"
 
 
+class _KeepingTape(Tape):
+    """A tape that also keeps a Python reference to every recorded output,
+    so no activation is freed before the sweep."""
+
+    def __init__(self):
+        super().__init__()
+        self.outputs = []
+
+    def record(self, out, inputs, backward):
+        self.outputs.append(out)
+        super().record(out, inputs, backward)
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_freeing_activations_changes_no_bit_of_a_train_step(variant):
+    rng = np.random.default_rng(4)
+    labels = rng.integers(0, 4, size=(2, 32, 32))
+    x = rng.standard_normal((2, 32, 32, 1))
+    runs = []
+    for tape_type in (Tape, _KeepingTape):
+        with T.using_dtype(np.float64):
+            model = M.RdteUnet(small_config(variant, b=2, hw=32, classes=4))
+            with tape_type() as tape:
+                loss = M.segmentation_loss(model(Tensor(x), training=True), labels)
+                T.backward(tape, loss, model.store)
+        runs.append((loss.data.tobytes(), model.store.arena()[1].tobytes()))
+        if tape_type is _KeepingTape:
+            assert len(tape.outputs) > 0 and len(tape) == 0
+    assert runs[0] == runs[1]
+
+
 # ---------------------------------------------------------------------------
 # loss
 

@@ -1,11 +1,13 @@
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdteunet.nn as nn
 import rdteunet.tensor as T
 from rdteunet.tensor import (
     FormatError,
@@ -238,6 +240,55 @@ def test_backward_rejects_nonscalar_loss():
             T.backward(tape, y, store)
 
 
+def test_a_swept_tape_refuses_a_second_sweep():
+    x = t([1.0, 2.0])
+    with Tape() as tape:
+        loss = T.tsum(T.mul(x, x))
+        assert np.array_equal(tape.grad(loss, [x])[0], [2.0, 4.0])
+        assert len(tape) == 0
+        with pytest.raises(T.ConfigError, match="already swept"):
+            tape.grad(loss, [x])
+
+
+def test_tape_entries_hold_node_ids_and_closures_only():
+    x, w = t(np.ones((1, 4, 4, 2))), t(np.ones((3, 3, 2, 2)))
+    with Tape() as tape:
+        y = T.relu(T.add(nn.conv2d(x, w, pad=(1, 1, 1, 1)), x))
+        T.tsum(T.mul(T.sigmoid(y), y))
+    assert len(tape) == 6
+    for node, inputs, backward in tape._entries:
+        assert type(node) is int and all(type(i) is int for i in inputs)
+        assert callable(backward)
+    assert len({node for node, _, _ in tape._entries}) == len(tape)
+    assert tape._entries[0][1] == (x.node, w.node)
+
+
+def test_node_ids_are_never_reused():
+    seen = set()
+    for _ in range(100):
+        a = t([1.0])  # freed at the next iteration, so its id() may come back
+        assert a.node not in seen
+        seen.add(a.node)
+
+
+def test_dead_activations_are_freed_before_the_sweep():
+    rng = np.random.default_rng(0)
+    x = t(rng.standard_normal((2, 6, 6, 3)))
+    w = t(rng.standard_normal((3, 3, 3, 3)))
+    gamma, beta = t(np.ones(3)), t(np.zeros(3))
+    with Tape() as tape:
+        conv = nn.conv2d(x, w, pad=(1, 1, 1, 1))
+        conv_data = weakref.ref(conv.data)
+        bn = nn.batch_norm(conv, gamma, beta, np.zeros(3), np.ones(3), training=True)
+        bn_data = weakref.ref(bn.data)
+        y = T.add(T.relu(bn), x)
+        del conv, bn
+        # no backward reads the conv or the batch-norm output
+        assert conv_data() is None and bn_data() is None
+        dx, dw = tape.grad(T.tsum(T.mul(y, y)), [x, w])
+    assert dx.shape == x.shape and dw.shape == w.shape
+
+
 def test_sum_backward_any_shape():
     for shape in [(3,), (2, 2), (2, 3, 1), (1, 2, 2, 2)]:
         x = Tensor(np.random.default_rng(1).standard_normal(shape).astype(np.float32))
@@ -276,10 +327,14 @@ def test_arena_accumulates_a_param_used_twice():
     store = _two_param_store()
     store.arena()
     w = store.value("w")
+
+    def f():
+        return T.add(T.tsum(T.mul(w, t([3.0, 1.0, -1.0]))), T.tsum(T.tanh(T.mul(w, w))))
+
     with Tape() as tape:
-        loss = T.add(T.tsum(T.mul(w, t([3.0, 1.0, -1.0]))), T.tsum(T.tanh(T.mul(w, w))))
-        T.backward(tape, loss, store)
-        want = tape.grad(loss, [w])[0]
+        T.backward(tape, f(), store)
+    with Tape() as tape:  # a swept tape is consumed, so the reference runs on its own
+        want = tape.grad(f(), [w])[0]
     assert np.array_equal(store["w"].grad, want)
     assert np.shares_memory(store["w"].grad, store.arena()[1])
 
