@@ -23,6 +23,11 @@ HORIZONTAL = "h"
 VERTICAL = "v"
 
 
+def _softplus(x: np.ndarray) -> np.ndarray:
+    # log(1 + e^x) without overflow for large |x|
+    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def _phase_limit(dtype) -> float:
     # largest representable value strictly below pi in the working dtype
     pi = dtype.type(np.pi)
@@ -69,7 +74,7 @@ def euler_pair_conv(u: Tensor, v: Tensor, w: Tensor, b: Tensor,
     taps = [(i, j, rs, cs) for i, rs in enumerate(rows) if rs for j, cs in enumerate(cols) if cs]
 
     ua, va, wa = u.data, v.data, w.data
-    a = T._softplus(ua)
+    a = _softplus(ua)
     theta = _phase(va)
     cos, sin = np.cos(theta), np.sin(theta)
     re, im = a * cos, a * sin
@@ -131,7 +136,7 @@ class EulerStream:
     def amplitude(self, x: Tensor, axis: str) -> Tensor:
         """The amplitudes A the expansion along `axis` uses, as values for
         inspection: no tape entry of their own."""
-        return Tensor(T._softplus(self.amp[axis](x).data))
+        return Tensor(_softplus(self.amp[axis](x).data))
 
     def phase_angle(self, x: Tensor, axis: str) -> Tensor:
         """The phases theta the expansion along `axis` uses, as values for

@@ -7,6 +7,10 @@ tolerance is 1e-4 (2e-4 for the whole-model subset): the honest float64
 errors are at most ~1e-6, and a gradient 1% off must fail its row.
 
 Each check returns the gradcheck reports of one row; SCOPES names the rows.
+The `tensor.elementwise_chain` row composes the elementwise tape ops the
+model runs (relu, sigmoid, silu, add, sub and mul, one mul with a
+one-element operand), and `model.param_subset` bumps each picked parameter
+coordinate by that same one-element `mul`.
 """
 
 from __future__ import annotations
@@ -56,9 +60,11 @@ def check_elementwise(tol):
 
     def f(v):
         a = T.silu(v)
-        b = T.tanh(T.mul(a, a))
-        c = T.add(T.sin(b), T.cos(T.softplus(a)))
-        return T.tsum(T.mul(c, T.exp(T.relu(b) * -0.5)))
+        b = T.sigmoid(T.mul(a, v))
+        c = T.relu(T.sub(v, b))  # on at 2 of the 10 points, each >= 0.068 from the kink
+        d = T.add(T.mul(b, c), a)
+        s = T.tsum(T.mul(d, d))
+        return T.tsum(T.mul(T.sub(d, b), s))  # s is a one-element operand
 
     return [gradcheck(f, x, EPS, tol)]
 
@@ -302,7 +308,9 @@ def check_model_subset(tol):
     """sum(logits) gradient w.r.t. 20 random parameter coordinates.
 
     gradcheck differentiates a 20-vector delta whose entry k is added to the
-    k-th picked coordinate; each evaluation restores the values it replaced.
+    k-th picked coordinate: the bump is entry k, read out as a one-element
+    tsum of delta times the k-th unit vector, times the coordinate's one-hot
+    map. Each evaluation restores the values it replaced.
     Training-mode batch norm reads batch statistics and only writes its
     running buffers, so probes stay pure.
     """
@@ -319,12 +327,14 @@ def check_model_subset(tol):
         flat = int(rng.integers(0, store.value(name).size))
         picks.append((name, flat))
 
+    units = np.eye(len(picks))
+
     def f(delta):
         bases = {name: store.value(name) for name, _ in picks}
         for k, (name, flat) in enumerate(picks):
             onehot = np.zeros(bases[name].shape)
             onehot.reshape(-1)[flat] = 1.0
-            bump = T.mul(T.take_channels(delta, [k]), Tensor(onehot))
+            bump = T.mul(T.tsum(T.mul(delta, Tensor(units[k]))), Tensor(onehot))
             store.set_value(name, T.add(store.value(name), bump))
         loss = T.tsum(model(x, training=True))
         for name, value in bases.items():

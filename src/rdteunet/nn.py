@@ -155,6 +155,8 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d_transpose expects NHWC input, got {x.shape}")
+    if w.data.ndim != 4:
+        raise ShapeError(f"conv2d_transpose expects (kh,kw,cout,cin) weights, got {w.shape}")
     kh, kw, cout, cin = w.shape
     if (kh, kw) != (2, 2):
         raise ConfigError(f"only the 2x2 stride-2 configuration is supported, got kernel {kh}x{kw}")

@@ -489,7 +489,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     x >= 0 this is 1 / (1 + e^-x) and for x < 0 it is e^x / (1 + e^x), each
     sign's accurate form, and every element costs one evaluation of one
     formula: no per-sign branch is computed for elements it does not serve.
-    Silu, sigmoid and softplus' backward all use it.
+    Sigmoid, silu and the Euler amplitude's backward all use it.
     """
     den, num = np.empty_like(x), np.empty_like(x)  # arrays even for 0-d x
     np.negative(np.abs(x, out=den), out=den)
@@ -498,25 +498,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     np.exp(np.minimum(x, 0, out=num), out=num)
     num /= den
     return num
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # log(1 + e^x) without overflow for large |x|
-    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
-
-
-# per op: the forward, whether the backward reads the output y (else the
-# input x), and the backward from that one array and the output grad g
-_UNARY = {
-    "relu": (lambda x: np.maximum(x, 0), True,
-             lambda y, g: g * (y > 0)),  # y > 0 exactly where x > 0; subgradient at 0 is 0
-    "tanh": (np.tanh, True, lambda y, g: g * (1 - y * y)),
-    "cos": (np.cos, False, lambda x, g: -g * np.sin(x)),
-    "sin": (np.sin, False, lambda x, g: g * np.cos(x)),
-    "softplus": (_softplus, False, lambda x, g: g * _sigmoid(x)),
-    "exp": (np.exp, True, lambda y, g: g * y),
-    "sigmoid": (_sigmoid, True, lambda y, g: g * y * (1 - y)),
-}
 
 
 def _check_binary(a: Tensor, b: Tensor) -> None:
@@ -543,15 +524,12 @@ def gemv_sum(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of an operand of `shape` from the output gradient g: g
+    itself for an operand of g's shape, else (`_check_binary` allows only a
+    one-element operand) the total of g in that operand's shape."""
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    return g.sum().reshape(shape)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -575,15 +553,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                 lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
-def _unary(name: str, a: Tensor) -> Tensor:
-    fwd, reads_output, bwd = _UNARY[name]
-    out = Tensor(fwd(a.data))
-    saved = out.data if reads_output else a.data
-    return _rec(out, (a,), lambda g: (bwd(saved, g),))
-
-
 def relu(a: Tensor) -> Tensor:
-    return _unary("relu", a)
+    out = Tensor(np.maximum(a.data, 0))
+    y = out.data
+    # y > 0 exactly where x > 0; the subgradient at 0 is 0
+    return _rec(out, (a,), lambda g: (g * (y > 0),))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = Tensor(_sigmoid(a.data))
+    y = out.data
+    return _rec(out, (a,), lambda g: (g * y * (1 - y),))
 
 
 def silu(a: Tensor) -> Tensor:
@@ -595,30 +575,6 @@ def silu(a: Tensor) -> Tensor:
         return (g * (s * (1 + x * (1 - s))),)
 
     return _rec(Tensor(x * s), (a,), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    return _unary("tanh", a)
-
-
-def cos(a: Tensor) -> Tensor:
-    return _unary("cos", a)
-
-
-def sin(a: Tensor) -> Tensor:
-    return _unary("sin", a)
-
-
-def softplus(a: Tensor) -> Tensor:
-    return _unary("softplus", a)
-
-
-def exp(a: Tensor) -> Tensor:
-    return _unary("exp", a)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    return _unary("sigmoid", a)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +613,10 @@ def tsum(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same values in `shape`, which names every extent (no -1)."""
     in_shape = a.shape
+    if math.prod(shape) != a.size:
+        raise ShapeError(f"cannot reshape {in_shape} ({a.size} elements) to {tuple(shape)}")
     return _rec(Tensor(a.data.reshape(shape)), (a,), lambda g: (g.reshape(in_shape),))
 
 
@@ -665,6 +624,9 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     """Join along the last (channel) axis."""
     if not parts:
         raise ShapeError("concat of zero tensors")
+    if len({p.shape[:-1] for p in parts}) != 1:
+        raise ShapeError(f"concat joins the channel axis of parts equal in every other "
+                         f"axis, got {[p.shape for p in parts]}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
     splits = np.cumsum([p.shape[-1] for p in parts])[:-1]
 
@@ -672,21 +634,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=-1))
 
     return _rec(out, tuple(parts), bw)
-
-
-def take_channels(a: Tensor, idx: Sequence[int]) -> Tensor:
-    """Gather along the last axis; the backward scatter-adds, so a repeated
-    channel sums its gradients."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(np.take(a.data, idx, axis=-1))
-    shape, dt = a.shape, a.data.dtype
-
-    def bw(g):
-        acc = np.zeros(shape, dtype=dt)
-        np.add.at(acc, (..., idx), g)
-        return (acc,)
-
-    return _rec(out, (a,), bw)
 
 
 def is_finite(a: Tensor) -> bool:
@@ -727,6 +674,8 @@ def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3,
     y1 = f(x)
     if y1.size != 1:
         raise ShapeError("gradcheck needs a scalar-valued function")
+    if not is_finite(y1):
+        raise FloatingPointError(f"f(x) is {y1.item()}; no gradient can be checked")
     if y1.item() != f_pure(x):
         raise NondeterminismError("two forward passes differ; check invalid")
 

@@ -40,6 +40,13 @@ def pair_parts(u, v):
 # ---------------------------------------------------------------------------
 # expansion invariants
 
+def test_softplus_stable():
+    y = ef._softplus(np.array([1000.0, -1000.0], dtype=np.float32))
+    assert np.isfinite(y).all()
+    assert y[0] == pytest.approx(1000.0)
+    assert y[1] == pytest.approx(0.0, abs=1e-6)
+
+
 def test_amplitude_nonnegative_extreme_inputs():
     stream, _ = make_stream(c=2)
     for seed, scale in ((1, 1.0), (2, 1e3), (3, 1e3)):
@@ -177,17 +184,23 @@ def _clip_op(a, lo, hi):
     return T._rec(Tensor(np.clip(a.data, lo, hi)), (a,), lambda g: (g * inside,))
 
 
+def _unary_op(a, fwd, slope):
+    """Test-only elementwise op: forward fwd(x), backward g * slope(x)."""
+    x = a.data
+    return T._rec(Tensor(fwd(x)), (a,), lambda g: (g * slope(x),))
+
+
 def composed_pairs(u, v):
     """Test-only oracle: the expansion as a chain of tape ops (softplus,
-    tanh times pi, clip, cos, sin, mul, concat, then the interleaving gather):
-    channels 2k and 2k+1 hold A_k*cos(theta_k) and A_k*sin(theta_k)."""
+    tanh times pi, clip, cos, sin, mul, concat): channels k and c+k hold
+    A_k*cos(theta_k) and A_k*sin(theta_k)."""
     dt = v.data.dtype
     lim = ef._phase_limit(dt)
-    a = T.softplus(u)
-    theta = _clip_op(T.tanh(v) * float(dt.type(np.pi)), -lim, lim)
-    expanded = T.concat([T.mul(a, T.cos(theta)), T.mul(a, T.sin(theta))])
-    c = u.shape[-1]
-    return T.take_channels(expanded, np.arange(2 * c).reshape(2, c).T.reshape(-1))
+    a = _unary_op(u, ef._softplus, T._sigmoid)
+    tanh = _unary_op(v, np.tanh, lambda x: 1 - np.tanh(x) ** 2)
+    theta = _clip_op(tanh * float(dt.type(np.pi)), -lim, lim)
+    return T.concat([T.mul(a, _unary_op(theta, np.cos, lambda x: -np.sin(x))),
+                     T.mul(a, _unary_op(theta, np.sin, np.cos))])
 
 
 def _pair_logits(dtype, amp_scale, seed=41):
@@ -208,9 +221,10 @@ def test_euler_pairs_forward_bit_equal_to_composed_chain(dtype, amp_scale):
         u, v = _pair_logits(dtype, amp_scale)
         re, im = pair_parts(u, v)
         want = composed_pairs(u, v).data
+    c = u.shape[-1]
     assert re.dtype == dtype
-    assert np.array_equal(re, want[..., 0::2])
-    assert np.array_equal(im, want[..., 1::2])
+    assert np.array_equal(re, want[..., :c])
+    assert np.array_equal(im, want[..., c:])
 
 
 @pytest.mark.parametrize("amp_scale", [1.0, 1e3])
@@ -230,10 +244,14 @@ def test_euler_pairs_grads_match_composed_chain_float64(amp_scale):
             with T.Tape() as tape:
                 y = ef.euler_pair_conv(u, v, w, b, pad)
                 grads = tape.grad(T.tsum(T.mul(y, Tensor(g))), [u, v, w, b])
+            # channels k and c+k of the chain side by side at 2k and 2k+1,
+            # the grouped conv's pair layout
+            order = np.arange(2 * c).reshape(2, c).T.reshape(-1)
             with T.Tape() as tape:
                 pairs = composed_pairs(u, v)
                 y_ref, (d_pairs, dw_ref, db_ref) = im2col_conv2d(
-                    pairs.data, w.data, b.data, g, 1, pad, groups=c)
+                    pairs.data[..., order], w.data, b.data, g, 1, pad, groups=c)
+                d_pairs = d_pairs[..., np.argsort(order)]
                 du_ref, dv_ref = tape.grad(T.tsum(T.mul(pairs, Tensor(d_pairs))), [u, v])
             for got, want in zip((y.data, *grads), (y_ref, du_ref, dv_ref, dw_ref, db_ref)):
                 np.testing.assert_allclose(got, want, rtol=1e-12,

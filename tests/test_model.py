@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -188,6 +190,35 @@ def test_freeing_activations_changes_no_bit_of_a_train_step(variant):
         if tape_type is _KeepingTape:
             assert len(tape.outputs) > 0 and len(tape) == 0
     assert runs[0] == runs[1]
+
+
+def _tape_ops(module) -> set[str]:
+    """The public functions of `module` that record on the tape."""
+    return {fn.name for fn in ast.parse(inspect.getsource(module)).body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_rec"
+                    for n in ast.walk(fn))}
+
+
+def test_a_train_step_reaches_every_tape_op_of_the_tensor_core(monkeypatch):
+    # an op no train step runs belongs to no model, so it goes
+    seen = set()
+    record = Tape.record
+
+    def spy(self, out, inputs, backward):
+        if backward.__module__ == T.__name__:
+            seen.add(backward.__qualname__.split(".")[0])
+        record(self, out, inputs, backward)
+
+    monkeypatch.setattr(Tape, "record", spy)
+    labels = np.random.default_rng(3).integers(0, 3, size=(2, 32, 32))
+    for variant in M.VARIANTS:
+        model = M.RdteUnet(small_config(variant, b=2, hw=32))
+        with Tape() as tape:
+            loss = M.segmentation_loss(model(rx((2, 32, 32, 1), 4), training=True), labels)
+        T.backward(tape, loss, model.store)
+    # tsum is gradsuite's probe reduction; the loss op sums its own terms
+    assert seen == _tape_ops(T) - {"tsum"}
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,11 @@ def test_transpose_rejects_other_kernels():
         nn.conv2d_transpose(rt((1, 2, 2, 1)), rt((3, 3, 1, 1)), T.zeros((1,)))
 
 
+def test_transpose_rejects_weights_that_are_not_4d():
+    with pytest.raises(ShapeError, match=r"\(2, 2, 1\)"):
+        nn.conv2d_transpose(rt((1, 2, 2, 1)), rt((2, 2, 1)))
+
+
 def test_conv_transpose_adjoint_identity():
     # <conv2d(x), y> == <x, conv2d_transpose(y)> with a shared weight array
     for n, h, w, cin, cout in [(2, 3, 3, 3, 5), (3, 2, 4, 4, 2)]:
