@@ -44,6 +44,39 @@ def _axis_corners(p: np.ndarray, size: int):
     return frac, corners
 
 
+def _sample_geometry(sizes: np.ndarray, lin_u: np.ndarray, lin_v: np.ndarray,
+                     h: int, wd: int):
+    """Where each position's n x n grid samples, for the (nb, h, wd, 2)
+    rectangle sizes and the grid's n offsets in [-1, 1] along its first
+    axis, `lin_u` (n, 1, 1, 1, 1), and its second, `lin_v` (1, n, 1, 1, 1).
+
+    Returns the row and column fractions fy (n, 1, nb, h, wd) and
+    fx (1, n, nb, h, wd), and per corner (dy, dx) in order 00, 01, 10, 11,
+    flat over the (n, n, nb, h, wd) grid: the row of the (nb*h*wd, c) pixel
+    view, the in-image mask and the corner weight, zero outside the image.
+    """
+    nb, n_grid, dt = sizes.shape[0], lin_u.shape[0], lin_u.dtype
+    grid = (n_grid, n_grid, nb, h, wd)
+    half_h = (sizes[..., 0] - 1) * dt.type(0.5)
+    half_w = (sizes[..., 1] - 1) * dt.type(0.5)
+    # sample coordinates: rows (n, 1, nb, h, wd) vary along the grid's first
+    # axis, columns (1, n, nb, h, wd) along its second
+    py = np.arange(h, dtype=dt)[:, None] + half_h * lin_u
+    px = np.arange(wd, dtype=dt) + half_w * lin_v
+    fy, rows = _axis_corners(py, h)
+    fx, cols = _axis_corners(px, wd)
+
+    bbase = (np.arange(nb, dtype=np.int64) * h)[:, None, None]
+    flat = np.empty((4,) + grid, dtype=np.int64)
+    inside = np.empty((4,) + grid, dtype=bool)
+    weight = np.empty((4,) + grid, dtype=dt)
+    for k, ((yc, y_in, wy), (xc, x_in, wx)) in enumerate(itertools.product(rows, cols)):
+        np.add((bbase + yc) * wd, xc, out=flat[k])
+        np.logical_and(y_in, x_in, out=inside[k])
+        np.multiply(wy, wx, out=weight[k])
+    return fy, fx, flat.reshape(4, -1), inside.reshape(4, -1), weight.reshape(4, -1)
+
+
 def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Adaptive rectangle sampling + shared-kernel mixing.
 
@@ -55,11 +88,13 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
     elementwise op runs over whole images. Each of the four bilinear corners
     is one row gather from the (N*h*w, c) pixel view, weighted by a weight
     that is zero outside the image. The mixing is one GEMM on the
-    (N*h*w, n*n*c) sample view. The input gradient is one bincount per
+    (N*h*w, n*n*c) sample matrix. The input gradient is one bincount per
     channel over all corners' pixel indices; the size gradient contracts the
     channels of each corner first and combines the corners at grid size.
-    The backward gathers the corner pixels again from x rather than keeping
-    the forward's (4, n*n*N*h*w, c) gather alive until the sweep.
+    The op keeps only x, the sizes and the kernel: its backward rebuilds the
+    geometry, the corner pixels and the sample matrix with the forward's
+    expressions (`_sample_geometry`, `samples`), so they are bit-equal to
+    the forward's, rather than holding them until the sweep.
     """
     nb, h, wd, c = x.shape
     if sizes.shape != (nb, h, wd, 2):
@@ -74,37 +109,21 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
     grid = (n_grid, n_grid, nb, h, wd)
     lin = np.linspace(-1.0, 1.0, n_grid, dtype=dt)
     lin_u, lin_v = lin[:, None, None, None, None], lin[None, :, None, None, None]
-
-    half_h = (sizes.data[..., 0] - 1) * dt.type(0.5)
-    half_w = (sizes.data[..., 1] - 1) * dt.type(0.5)
-    # sample coordinates: rows (n, 1, nb, h, wd) vary along the grid's first
-    # axis, columns (1, n, nb, h, wd) along its second
-    py = np.arange(h, dtype=dt)[:, None] + half_h * lin_u
-    px = np.arange(wd, dtype=dt) + half_w * lin_v
-    fy, rows = _axis_corners(py, h)
-    fx, cols = _axis_corners(px, wd)
-
-    # per corner (dy, dx) in order 00, 01, 10, 11, flat over the grid: the
-    # row of the (nb*h*wd, c) pixel view, the in-image mask, the masked weight
-    bbase = (np.arange(nb, dtype=np.int64) * h)[:, None, None]
-    flat = np.empty((4,) + grid, dtype=np.int64)
-    inside = np.empty((4,) + grid, dtype=bool)
-    weight = np.empty((4,) + grid, dtype=dt)
-    for k, ((yc, y_in, wy), (xc, x_in, wx)) in enumerate(itertools.product(rows, cols)):
-        np.add((bbase + yc) * wd, xc, out=flat[k])
-        np.logical_and(y_in, x_in, out=inside[k])
-        np.multiply(wy, wx, out=weight[k])
-    flat, inside, weight = (a.reshape(4, -1) for a in (flat, inside, weight))
     pixels = x.data.reshape(m, c)
+    sizes_a = sizes.data
 
-    def corner_values():
-        """The four corners' pixels, (4, n*n*m, c): one row gather."""
-        return np.take(pixels, flat.reshape(-1), axis=0).reshape(4, -1, c)
+    def samples():
+        """The geometry, the four corners' pixels (4, n*n*m, c) by one row
+        gather, and the (m, n*n*c) sample matrix in the kernel's (u, v, c)
+        order per position."""
+        geometry = _sample_geometry(sizes_a, lin_u, lin_v, h, wd)
+        _, _, flat, _, weight = geometry
+        vals = np.take(pixels, flat.reshape(-1), axis=0).reshape(4, -1, c)
+        # summed in corner order, then (n*n, m, c) -> (m, n*n*c)
+        s = np.einsum("kp,kpc->pc", weight, vals)
+        return geometry, vals, s.reshape(nn2, m, c).transpose(1, 0, 2).reshape(m, nn2 * c)
 
-    # summed in corner order
-    samples = np.einsum("kp,kpc->pc", weight, corner_values())
-    # (n*n, m, c) -> (m, n*n*c): the kernel's (u, v, c) order per position
-    s2 = samples.reshape(nn2, m, c).transpose(1, 0, 2).reshape(m, nn2 * c)
+    _, _, s2 = samples()
     wmat = w.data.reshape(nn2 * c, cout)
     x_shape, w_shape = x.shape, w.shape
     # (w^T s^T)^T rather than s w: the operand order of einsum's matmul path
@@ -114,8 +133,10 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = Tensor(out_arr)
 
     def bw(g):
+        (fy, fx, flat, inside, weight), vals, s2 = samples()
         g2 = g.reshape(m, cout)
         dw = (g2.T @ s2).T.reshape(w_shape)
+        del s2
         db = g.sum(axis=(0, 1, 2))
         # sample grads in grid order, as (n*n*m, c) and per channel (n*n, c, m)
         ds = np.matmul(g2, wmat.reshape(nn2, c, cout).transpose(0, 2, 1)).reshape(-1, c)
@@ -130,7 +151,6 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
                                     minlength=m)
 
         # e_k: each corner's channel dot with ds, zero outside the image
-        vals = corner_values()
         e00, e01, e10, e11 = (
             (np.einsum("pc,pc->p", ds, vals[k]) * inside[k]).reshape(grid)
             for k in range(4))

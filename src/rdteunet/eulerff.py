@@ -39,8 +39,23 @@ def _phase_limit(dtype) -> float:
 def _phase(v: np.ndarray) -> np.ndarray:
     """theta = pi * tanh(v) of the phase conv's output v, clamped to the
     dtype's largest values strictly inside (-pi, pi)."""
-    lim = _phase_limit(v.dtype)
-    return np.clip(np.tanh(v) * v.dtype.type(np.pi), -lim, lim)
+    return _clamped_phase(np.tanh(v))
+
+
+def _clamped_phase(t: np.ndarray) -> np.ndarray:
+    """`_phase` from t = tanh(v)."""
+    lim = _phase_limit(t.dtype)
+    return np.clip(t * t.dtype.type(np.pi), -lim, lim)
+
+
+def _expansion(ua: np.ndarray, va: np.ndarray):
+    """tanh(v), cos(theta), sin(theta), re = A*cos(theta) and
+    im = A*sin(theta), with A = softplus(u) and theta = `_phase(v)`: the maps
+    the forward and the backward of `euler_pair_conv` both build."""
+    t = np.tanh(va)
+    theta = _clamped_phase(t)
+    a, cos, sin = _softplus(ua), np.cos(theta), np.sin(theta)
+    return t, cos, sin, a * cos, a * sin
 
 
 def euler_pair_conv(u: Tensor, v: Tensor, w: Tensor, b: Tensor,
@@ -53,12 +68,14 @@ def euler_pair_conv(u: Tensor, v: Tensor, w: Tensor, b: Tensor,
     is b[k] plus, tap by tap in conv2d's order, re_k*w[i, j, 0, k] and then
     im_k*w[i, j, 1, k] over the pixels the tap sees (`nn._tap_spans`).
 
-    The backward takes d(re), d(im), dw and db tap by tap, then closes over
-    the expansion reusing the forward's A, cos and sin; it keeps no re or im
-    but recomputes them as the same products A*cos and A*sin:
-    dA = d(re)*cos + d(im)*sin, dtheta = d(im)*re - d(re)*im,
-    du = dA*sigmoid(u), and dv = dtheta*pi*(1 - tanh(v)^2) where the clamp
-    is not engaged, zero where it is.
+    The op keeps only its inputs u, v and the pair weights, and its tap plan.
+    Its backward rebuilds A, cos, sin, re and im from u and v with the
+    forward's expressions (`_expansion`), so they are bit-equal to the
+    forward's, and takes d(re), d(im), dw and db tap by tap. It then closes
+    over the expansion: dA = d(re)*cos + d(im)*sin,
+    dtheta = d(im)*re - d(re)*im, du = dA*sigmoid(u), and
+    dv = dtheta*pi*(1 - tanh(v)^2) where the clamp is not engaged, zero
+    where it is.
     """
     if u.shape != v.shape:
         raise ShapeError(f"euler pairs: amplitude {u.shape} and phase {v.shape} differ")
@@ -74,10 +91,7 @@ def euler_pair_conv(u: Tensor, v: Tensor, w: Tensor, b: Tensor,
     taps = [(i, j, rs, cs) for i, rs in enumerate(rows) if rs for j, cs in enumerate(cols) if cs]
 
     ua, va, wa = u.data, v.data, w.data
-    a = _softplus(ua)
-    theta = _phase(va)
-    cos, sin = np.cos(theta), np.sin(theta)
-    re, im = a * cos, a * sin
+    re, im = _expansion(ua, va)[3:]
     y = np.full((n, oh, ow, c), b.data, dtype=ua.dtype)
     for i, j, (ro, ri), (co, ci) in taps:
         y[:, ro, co] += re[:, ri, ci] * wa[i, j, 0]
@@ -85,7 +99,7 @@ def euler_pair_conv(u: Tensor, v: Tensor, w: Tensor, b: Tensor,
 
     def bw(g):
         gc = np.ascontiguousarray(g)
-        re, im = a * cos, a * sin
+        t, cos, sin, re, im = _expansion(ua, va)
         d_re, d_im = np.zeros_like(re), np.zeros_like(im)
         dw = np.empty(wa.shape, dtype=wa.dtype)
         # taps that see no pixel (a kernel row or column beyond the image) get zeros
@@ -101,7 +115,6 @@ def euler_pair_conv(u: Tensor, v: Tensor, w: Tensor, b: Tensor,
         dv = d_im * re
         dv -= d_re * im
         pi = va.dtype.type(np.pi)
-        t = np.tanh(va)
         dv *= np.abs(t * pi) < _phase_limit(va.dtype)  # the clamp's zero gradient
         dv *= pi * (1 - t * t)
         return du, dv, dw, T.gemv_sum(g, (0, 1, 2))
@@ -135,13 +148,18 @@ class EulerStream:
 
     def amplitude(self, x: Tensor, axis: str) -> Tensor:
         """The amplitudes A the expansion along `axis` uses, as values for
-        inspection: no tape entry of their own."""
-        return Tensor(_softplus(self.amp[axis](x).data))
+        inspection: its conv runs on a throwaway tape, so an active tape
+        gets no entry and keeps nothing alive."""
+        with T.Tape():
+            u = self.amp[axis](x)
+        return Tensor(_softplus(u.data))
 
     def phase_angle(self, x: Tensor, axis: str) -> Tensor:
         """The phases theta the expansion along `axis` uses, as values for
-        inspection: no tape entry of their own."""
-        return Tensor(_phase(self.phase[axis](x).data))
+        inspection, recorded on no active tape (see `amplitude`)."""
+        with T.Tape():
+            v = self.phase[axis](x)
+        return Tensor(_phase(v.data))
 
     def directional(self, x: Tensor, axis: str) -> Tensor:
         """The Euler expansion along one axis, convolved by its pair conv."""

@@ -137,8 +137,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
         dw[[i for i, r in enumerate(rows) if r is None]] = 0
         dw[:, [j for j, c in enumerate(cols) if c is None]] = 0
         for i, j, (ro, ri), (co, ci) in taps:
-            _tap_madd(dx[:, ri, ci], g[:, ro, co], wa[i, j].T)
-            _tap_weight_grad(dw[i, j], xa[:, ri, ci], g[:, ro, co])
+            gt = g[:, ro, co].reshape(-1, cout)  # one copy of a strided slice, for both GEMMs
+            _tap_madd(dx[:, ri, ci], gt, wa[i, j].T)
+            _tap_weight_grad(dw[i, j], xa[:, ri, ci], gt)
         if not has_bias:
             return dx, dw
         return dx, dw, T.gemv_sum(g, (0, 1, 2))
@@ -178,8 +179,9 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         dx = np.zeros_like(xa)
         dw = np.empty_like(wa)  # every one of the four taps is live
         for i, j, (ro, ri), (co, ci) in taps:
-            _tap_madd(dx[:, ro, co], g[:, ri, ci], wa[i, j])
-            _tap_weight_grad(dw[i, j], g[:, ri, ci], xa[:, ro, co])
+            gt = g[:, ri, ci].reshape(-1, cout)
+            _tap_madd(dx[:, ro, co], gt, wa[i, j])
+            _tap_weight_grad(dw[i, j], gt, xa[:, ro, co])
         if not has_bias:
             return dx, dw
         return dx, dw, T.gemv_sum(g, (0, 1, 2))

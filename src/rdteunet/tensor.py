@@ -22,8 +22,14 @@ for that step. A caller that keeps a parameter value across a step copies it.
 A Tape holds no Tensor. Each Tensor has a `node` id, drawn from one counter
 and never reused, and a tape entry is the node id of an op's output, the
 node ids of its inputs and the op's backward closure. A closure keeps only
-the arrays and shapes its own backward reads, so an activation that no
-backward reads is freed as soon as the forward drops its last Python name.
+what its backward reads: the op's inputs (of some only their shapes), or
+its output in their place where the backward reads that (relu, sigmoid,
+softmax), plus only what it cannot cheaply rebuild from them. An
+intermediate that one pass over the inputs gives again (a sigmoid, the
+Euler A, cos and sin, the sampler's samples) is recomputed in the backward
+with the forward's expressions, so it is bit-equal to the forward's and is
+not held until the sweep. An activation that no backward reads is freed as
+soon as the forward drops its last Python name.
 `Tape.grad` consumes its tape: it pops each entry before it runs the
 entry's closure, so the sweep frees what the forward saved as it goes, and
 a second sweep of the same tape raises ConfigError.
@@ -186,11 +192,12 @@ class Tape:
     """Ordered record of operations for one forward pass.
 
     An entry is `(output node, input nodes, backward closure)`: node ids and
-    a closure, never a Tensor, and the closure keeps only what its backward
-    reads. Entries are appended in execution order, so inputs always precede
-    the entry that consumes them. `grad` consumes the tape: its sweep pops
-    the entries in reverse, each before its closure runs, and a second
-    sweep raises ConfigError. A tape is single-threaded.
+    a closure, never a Tensor. The closure keeps the op's inputs, plus only
+    what it cannot cheaply rebuild from them (see the module docstring).
+    Entries are appended in execution order, so inputs always precede the
+    entry that consumes them. `grad` consumes the tape: its sweep pops the
+    entries in reverse, each before its closure runs, and a second sweep
+    raises ConfigError. A tape is single-threaded.
     """
 
     def __init__(self):
@@ -567,14 +574,15 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    # dedicated op so the sigmoid is computed once and reused in backward
+    """x * sigmoid(x). The closure keeps only x: its backward evaluates the
+    sigmoid again rather than holding a second map until the sweep."""
     x = a.data
-    s = _sigmoid(x)
 
     def bw(g):
+        s = _sigmoid(x)
         return (g * (s * (1 + x * (1 - s))),)
 
-    return _rec(Tensor(x * s), (a,), bw)
+    return _rec(Tensor(x * _sigmoid(x)), (a,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,45 @@ def test_euler_pairs_grads_match_composed_chain_float64(amp_scale):
             assert np.all(grads[1][clamped] == 0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_euler_pair_backward_rebuilds_the_forwards_expansion(dtype):
+    # the op keeps no A, cos or sin: its backward rebuilds them, and its
+    # weight gradient must read the forward's re and im bit for bit, also
+    # where the phase clamp engaged (the second probe sees only those pixels)
+    rng = np.random.default_rng(47)
+    with T.using_dtype(dtype):
+        u, v = _pair_logits(dtype, 1.0)
+        c = u.shape[-1]
+        clamped = np.abs(np.tanh(v.data) * np.pi) >= ef._phase_limit(v.data.dtype)
+        assert clamped.any() and not clamped.all()
+        re, im = pair_parts(u, v)
+        w = Tensor(np.ones((1, 1, 2, c)))
+        g = rng.standard_normal(u.shape).astype(dtype)
+        for probe in (g, g * clamped):
+            with T.Tape() as tape:
+                y = ef.euler_pair_conv(u, v, w, T.zeros((c,)), (0, 0, 0, 0))
+                dw = tape.grad(T.tsum(T.mul(y, Tensor(probe))), [w])[0]
+            assert np.array_equal(dw[0, 0, 0], np.einsum("nhwk,nhwk->k", re, probe))
+            assert np.array_equal(dw[0, 0, 1], np.einsum("nhwk,nhwk->k", im, probe))
+
+
+@pytest.mark.parametrize("dtype, v0", [(np.float32, 8.66), (np.float64, 18.49)],
+                         ids=["float32", "float64"])
+def test_phase_grad_is_zero_where_the_clamp_engages_below_tanh_one(dtype, v0):
+    # here tanh(v) < 1, so pi * (1 - tanh(v)^2) is not zero, yet pi * tanh(v)
+    # reaches the clamp: only the clamp mask zeroes the phase gradient
+    with T.using_dtype(dtype):
+        u = rx((1, 3, 4, 2), 48)
+        v = Tensor(np.array([v0, -v0], dtype=dtype) * np.ones((1, 3, 4, 1), dtype))
+        t = np.tanh(v.data)
+        assert np.all(np.abs(t) < 1)
+        assert np.all(np.abs(t * np.pi) >= ef._phase_limit(v.data.dtype))
+        with T.Tape() as tape:
+            y = ef.euler_pair_conv(u, v, rx((1, 3, 2, 2), 49), T.zeros((2,)), (0, 0, 1, 1))
+            dv = tape.grad(T.tsum(T.mul(y, rx(y.shape, 50))), [v])[0]
+    assert np.all(dv == 0)
+
+
 def test_euler_pairs_refuses_mismatched_logits():
     w, b = rx((1, 3, 2, 2), 46), T.zeros((2,))
     with pytest.raises(ShapeError, match="euler pairs"):
@@ -277,3 +316,15 @@ def test_amplitude_and_phase_are_the_expansion_formula():
         th = stream.phase_angle(x, axis).data
         assert np.array_equal(re, a * np.cos(th))
         assert np.array_equal(im, a * np.sin(th))
+
+
+def test_inspection_helpers_record_nothing_on_an_active_tape():
+    stream, _ = make_stream(c=3, seed=42)
+    x = rx((2, 4, 5, 3), 43)
+    with T.Tape() as tape:
+        stream(x)
+        n = len(tape)
+        for axis in ("h", "v"):
+            stream.amplitude(x, axis)
+            stream.phase_angle(x, axis)
+        assert len(tape) == n

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import inspect
+import types
 
 import numpy as np
 import pytest
@@ -162,15 +163,15 @@ def test_every_parameter_reaches_the_loss(variant):
 
 
 class _KeepingTape(Tape):
-    """A tape that also keeps a Python reference to every recorded output,
-    so no activation is freed before the sweep."""
+    """A tape that also keeps a Python reference to every recorded output
+    and its inputs, so no activation is freed before the sweep."""
 
     def __init__(self):
         super().__init__()
         self.outputs = []
 
     def record(self, out, inputs, backward):
-        self.outputs.append(out)
+        self.outputs.append((out, inputs))
         super().record(out, inputs, backward)
 
 
@@ -190,6 +191,51 @@ def test_freeing_activations_changes_no_bit_of_a_train_step(variant):
         if tape_type is _KeepingTape:
             assert len(tape.outputs) > 0 and len(tape) == 0
     assert runs[0] == runs[1]
+
+
+def _closure_arrays(fn) -> list[np.ndarray]:
+    """Every ndarray a closure reaches through its cells, nested functions,
+    containers and Tensors."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+    return found
+
+
+# ops whose backward rebuilds its intermediates from its inputs: the Euler
+# A, cos and sin, the SiLU sigmoid, and the sampler's geometry and samples
+REBUILDING_OPS = {"euler_pair_conv", "silu", "arconv_sample"}
+
+
+@pytest.mark.parametrize("variant", ["full", "no_hvda"])
+def test_rebuilding_ops_hold_no_output_sized_array_beyond_their_inputs(variant):
+    model = M.RdteUnet(small_config(variant, b=2, hw=32, classes=4))
+    labels = np.random.default_rng(5).integers(0, 4, size=(2, 32, 32))
+    with _KeepingTape() as tape:
+        M.segmentation_loss(model(rx((2, 32, 32, 1), 5), training=True), labels)
+    seen = set()
+    for (out, inputs), (_, _, backward) in zip(tape.outputs, tape._entries):
+        op = backward.__qualname__.split(".")[0]
+        if op not in REBUILDING_OPS:
+            continue
+        seen.add(op)
+        held = [a.shape for a in _closure_arrays(backward) if a.size >= out.size
+                and not any(np.may_share_memory(a, t.data) for t in inputs)]
+        assert not held, f"{op} keeps arrays of {held} beyond its inputs"
+    assert seen == REBUILDING_OPS
 
 
 def _tape_ops(module) -> set[str]:

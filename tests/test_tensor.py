@@ -75,6 +75,20 @@ def test_silu_zero():
     assert T.silu(t([0.0])).data[0] == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_silu_grad_at_large_inputs_is_the_closed_form(dtype):
+    # the backward evaluates the sigmoid again; where it saturates the
+    # gradient must stay finite and be exactly s * (1 + x * (1 - s))
+    x = np.array([-1e4, -90, -30, 30, 90, 1e4], dtype=dtype)
+    with T.using_dtype(dtype):
+        v = Tensor(x)
+        with Tape() as tape:
+            g = tape.grad(T.tsum(T.silu(v)), [v])[0]
+    s = T._sigmoid(x)
+    assert g.dtype == dtype and np.isfinite(g).all()
+    assert np.array_equal(g, s * (1 + x * (1 - s)))
+
+
 def test_sigmoid_within_4_ulp_and_overflow_free():
     x = np.concatenate([np.linspace(-80, 80, 200001, dtype=np.float32),
                         np.random.default_rng(3).uniform(-80, 80, 10000).astype(np.float32)])
