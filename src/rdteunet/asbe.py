@@ -4,8 +4,9 @@ The stem compresses channels with a 1x1 conv, computes a high-frequency
 boundary cue as (features - average-pooled features), adds it to the output
 of an adaptive rectangular convolution whose per-position support size is
 predicted by a small conv stack, and fuses everything through a final 1x1
-conv. The rectangular sampler is an n x n bilinear grid spanning the
-predicted (height, width) rectangle; it is differentiable in the inputs, the
+conv. One op, `size_map`, maps the stack's logits to sizes in [1, R_MAX].
+The rectangular sampler is an n x n bilinear grid spanning the predicted
+(height, width) rectangle; it is differentiable in the inputs, the
 shared kernel, and the predicted sizes. It runs at the full input resolution,
 so it is written as gathers, GEMMs and bincounts over whole grids; its direct
 per-corner form is kept as the test oracle in tests/test_asbe.py.
@@ -75,6 +76,19 @@ def _sample_geometry(sizes: np.ndarray, lin_u: np.ndarray, lin_v: np.ndarray,
         np.logical_and(y_in, x_in, out=inside[k])
         np.multiply(wy, wx, out=weight[k])
     return fy, fx, flat.reshape(4, -1), inside.reshape(4, -1), weight.reshape(4, -1)
+
+
+def size_map(z: Tensor) -> Tensor:
+    """Rectangle sizes 1 + (R_MAX - 1) * sigmoid(z). The closure keeps only
+    z: like SiLU's, its backward evaluates the sigmoid again."""
+    x = z.data
+    scale, one = x.dtype.type(R_MAX - 1), x.dtype.type(1)
+
+    def bw(g):
+        s = T._sigmoid(x)
+        return (g * scale * s * (1 - s),)
+
+    return _rec(Tensor(T._sigmoid(x) * scale + one), (z,), bw)
 
 
 def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -181,13 +195,17 @@ class ArConv:
         store.add(self.b_name, T.Fill((c,), 0.0))
         self.store = store
 
+    def _sizes(self, x: Tensor) -> Tensor:
+        return size_map(self.shape_conv2(T.relu(self.shape_conv1(x))))
+
     def predicted_sizes(self, x: Tensor) -> Tensor:
-        logits = self.shape_conv2(T.relu(self.shape_conv1(x)))
-        return T.sigmoid(logits) * float(R_MAX - 1) + 1.0
+        """The sampler's sizes for `x`, as values for inspection: the shape
+        net runs on a throwaway tape, so an active tape gets no entry."""
+        with T.Tape():
+            return self._sizes(x)
 
     def __call__(self, x: Tensor) -> Tensor:
-        sizes = self.predicted_sizes(x)
-        return arconv_sample(x, sizes, self.store.value(self.w_name),
+        return arconv_sample(x, self._sizes(x), self.store.value(self.w_name),
                              self.store.value(self.b_name))
 
 

@@ -7,10 +7,9 @@ tolerance is 1e-4 (2e-4 for the whole-model subset): the honest float64
 errors are at most ~1e-6, and a gradient 1% off must fail its row.
 
 Each check returns the gradcheck reports of one row; SCOPES names the rows.
-The `tensor.elementwise_chain` row composes the elementwise tape ops the
-model runs (relu, sigmoid, silu, add, sub and mul, one mul with a
-one-element operand), and `model.param_subset` bumps each picked parameter
-coordinate by that same one-element `mul`.
+The `tensor.elementwise_chain` row composes relu, silu, add, sub and mul at
+equal shapes, and `model.param_subset` reads each coordinate's bump out of
+its delta vector with two `matmul`s.
 """
 
 from __future__ import annotations
@@ -56,15 +55,14 @@ def _probe_loss(y: Tensor, probe: Tensor) -> Tensor:
 # per-row checks
 
 def check_elementwise(tol):
-    x = _rx((10,), 1) * 0.8
+    x = Tensor(np.random.default_rng(1).standard_normal(10) * 0.8)
 
     def f(v):
         a = T.silu(v)
-        b = T.sigmoid(T.mul(a, v))
-        c = T.relu(T.sub(v, b))  # on at 2 of the 10 points, each >= 0.068 from the kink
+        b = T.silu(T.mul(a, v))
+        c = T.relu(T.sub(v, b))  # on at 8 of the 10 points, each >= 0.21 from the kink
         d = T.add(T.mul(b, c), a)
-        s = T.tsum(T.mul(d, d))
-        return T.tsum(T.mul(T.sub(d, b), s))  # s is a one-element operand
+        return T.tsum(T.mul(T.sub(d, b), T.mul(d, d)))
 
     return [gradcheck(f, x, EPS, tol)]
 
@@ -308,9 +306,9 @@ def check_model_subset(tol):
     """sum(logits) gradient w.r.t. 20 random parameter coordinates.
 
     gradcheck differentiates a 20-vector delta whose entry k is added to the
-    k-th picked coordinate: the bump is entry k, read out as a one-element
-    tsum of delta times the k-th unit vector, times the coordinate's one-hot
-    map. Each evaluation restores the values it replaced.
+    k-th picked coordinate: the bump is entry k, read out as the (1, 1)
+    product of delta with the k-th unit column, times the coordinate's
+    one-hot column. Each evaluation restores the values it replaced.
     Training-mode batch norm reads batch statistics and only writes its
     running buffers, so probes stay pure.
     """
@@ -334,7 +332,8 @@ def check_model_subset(tol):
         for k, (name, flat) in enumerate(picks):
             onehot = np.zeros(bases[name].shape)
             onehot.reshape(-1)[flat] = 1.0
-            bump = T.mul(T.tsum(T.mul(delta, Tensor(units[k]))), Tensor(onehot))
+            coord = T.matmul(T.reshape(delta, (1, len(picks))), Tensor(units[:, k:k + 1]))
+            bump = T.reshape(T.matmul(Tensor(onehot.reshape(-1, 1)), coord), onehot.shape)
             store.set_value(name, T.add(store.value(name), bump))
         loss = T.tsum(model(x, training=True))
         for name, value in bases.items():

@@ -23,13 +23,13 @@ A Tape holds no Tensor. Each Tensor has a `node` id, drawn from one counter
 and never reused, and a tape entry is the node id of an op's output, the
 node ids of its inputs and the op's backward closure. A closure keeps only
 what its backward reads: the op's inputs (of some only their shapes), or
-its output in their place where the backward reads that (relu, sigmoid,
-softmax), plus only what it cannot cheaply rebuild from them. An
-intermediate that one pass over the inputs gives again (a sigmoid, the
-Euler A, cos and sin, the sampler's samples) is recomputed in the backward
-with the forward's expressions, so it is bit-equal to the forward's and is
-not held until the sweep. An activation that no backward reads is freed as
-soon as the forward drops its last Python name.
+its output in their place where the backward reads that (relu, softmax),
+plus only what it cannot cheaply rebuild from them. An intermediate that
+one pass over the inputs gives again (the sigmoid of SiLU and of the ASBE
+size map, the Euler A, cos and sin, the sampler's samples) is recomputed in
+the backward with the forward's expressions, so it is bit-equal to the
+forward's and is not held until the sweep. An activation that no backward
+reads is freed as soon as the forward drops its last Python name.
 `Tape.grad` consumes its tape: it pops each entry before it runs the
 entry's closure, so the sweep frees what the forward saved as it goes, and
 a second sweep of the same tape raises ConfigError.
@@ -138,9 +138,9 @@ class Tensor:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
+    # `*` is `mul` at equal shapes, a number being a 0-d tensor (`_coerce`).
+    # Both stay for perfbench's failure test: it multiplies the 0-d loss by
+    # NaN and must see a NaN loss, not a TypeError.
     def __mul__(self, other):
         return mul(self, _coerce(other))
 
@@ -496,7 +496,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     x >= 0 this is 1 / (1 + e^-x) and for x < 0 it is e^x / (1 + e^x), each
     sign's accurate form, and every element costs one evaluation of one
     formula: no per-sign branch is computed for elements it does not serve.
-    Sigmoid, silu and the Euler amplitude's backward all use it.
+    SiLU, the ASBE size map and the Euler amplitude's backward use it.
     """
     den, num = np.empty_like(x), np.empty_like(x)  # arrays even for 0-d x
     np.negative(np.abs(x, out=den), out=den)
@@ -508,8 +508,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _check_binary(a: Tensor, b: Tensor) -> None:
-    """Binary ops take equal shapes, or one operand of a single element."""
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
+    """Binary ops take equal shapes: nothing broadcasts."""
+    if a.shape != b.shape:
         raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -530,34 +530,22 @@ def gemv_sum(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
                       f"not axes {axes} of shape {x.shape}")
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The gradient of an operand of `shape` from the output gradient g: g
-    itself for an operand of g's shape, else (`_check_binary` allows only a
-    one-element operand) the total of g in that operand's shape."""
-    if g.shape == shape:
-        return g
-    return g.sum().reshape(shape)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_binary(a, b)
-    sa, sb = a.shape, b.shape
-    return _rec(Tensor(a.data + b.data), (a, b),
-                lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    return _rec(Tensor(a.data + b.data), (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_binary(a, b)
-    sa, sb = a.shape, b.shape
-    return _rec(Tensor(a.data - b.data), (a, b),
-                lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
+    return _rec(Tensor(a.data - b.data), (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """No model op calls it: it stays as `Tensor.__mul__` and as the probe
+    reduction `tsum(mul(y, probe))` of gradsuite's rows and the tests."""
     _check_binary(a, b)
     x, y = a.data, b.data
-    return _rec(Tensor(x * y), (a, b),
-                lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
+    return _rec(Tensor(x * y), (a, b), lambda g: (g * y, g * x))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -565,12 +553,6 @@ def relu(a: Tensor) -> Tensor:
     y = out.data
     # y > 0 exactly where x > 0; the subgradient at 0 is 0
     return _rec(out, (a,), lambda g: (g * (y > 0),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(_sigmoid(a.data))
-    y = out.data
-    return _rec(out, (a,), lambda g: (g * y * (1 - y),))
 
 
 def silu(a: Tensor) -> Tensor:
@@ -674,17 +656,17 @@ def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3,
     if default_dtype() == np.float32 and not (1e-4 <= eps <= 1e-2):
         raise ConfigError(f"eps={eps} outside [1e-4, 1e-2] for 32-bit floats")
 
-    def f_pure(t: Tensor) -> float:
-        # throwaway tape so probe evaluations never pollute an outer tape
+    def f_pure(t: Tensor) -> Tensor:
+        # throwaway tape so no evaluation of the check pollutes an outer tape
         with Tape():
-            return f(t).item()
+            return f(t)
 
-    y1 = f(x)
+    y1 = f_pure(x)
     if y1.size != 1:
         raise ShapeError("gradcheck needs a scalar-valued function")
     if not is_finite(y1):
         raise FloatingPointError(f"f(x) is {y1.item()}; no gradient can be checked")
-    if y1.item() != f_pure(x):
+    if y1.item() != f_pure(x).item():
         raise NondeterminismError("two forward passes differ; check invalid")
 
     with Tape() as tape:
@@ -698,10 +680,10 @@ def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3,
         bumped = flat.copy()
         bumped[i] = flat[i] + eps
         hi = float(bumped[i])
-        f_plus = f_pure(Tensor(bumped.reshape(x.shape)))
+        f_plus = f_pure(Tensor(bumped.reshape(x.shape))).item()
         bumped[i] = flat[i] - eps
         lo = float(bumped[i])
-        f_minus = f_pure(Tensor(bumped.reshape(x.shape)))
+        f_minus = f_pure(Tensor(bumped.reshape(x.shape))).item()
         # divide by the realized step: dtype rounding of x +/- eps would
         # otherwise dominate the error for 32-bit inputs
         numeric = (f_plus - f_minus) / (hi - lo)

@@ -213,6 +213,25 @@ def test_arconv_sizes_within_bounds():
     assert np.all(sizes <= 7.0)
 
 
+def test_predicted_sizes_records_nothing_and_are_the_samplers_sizes(monkeypatch):
+    ar, _ = make_arconv(c=2, seed=12)
+    x = rx((2, 5, 6, 2), 13)
+    got = []
+    sample = ab.arconv_sample
+
+    def spy(x_in, sizes, w, b):
+        got.append(sizes.data)
+        return sample(x_in, sizes, w, b)
+
+    monkeypatch.setattr(ab, "arconv_sample", spy)
+    with Tape() as tape:
+        ar(x)
+        n = len(tape)
+        sizes = ar.predicted_sizes(x).data
+        assert len(tape) == n
+    assert np.array_equal(sizes, got[0])
+
+
 # ---------------------------------------------------------------------------
 # stem
 

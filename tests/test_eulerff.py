@@ -198,7 +198,8 @@ def composed_pairs(u, v):
     lim = ef._phase_limit(dt)
     a = _unary_op(u, ef._softplus, T._sigmoid)
     tanh = _unary_op(v, np.tanh, lambda x: 1 - np.tanh(x) ** 2)
-    theta = _clip_op(tanh * float(dt.type(np.pi)), -lim, lim)
+    pi = dt.type(np.pi)
+    theta = _clip_op(_unary_op(tanh, lambda x: x * pi, lambda x: pi), -lim, lim)
     return T.concat([T.mul(a, _unary_op(theta, np.cos, lambda x: -np.sin(x))),
                      T.mul(a, _unary_op(theta, np.sin, np.cos))])
 

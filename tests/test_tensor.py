@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdteunet.asbe as ab
 import rdteunet.nn as nn
 import rdteunet.tensor as T
 from rdteunet.tensor import (
@@ -89,6 +90,21 @@ def test_silu_grad_at_large_inputs_is_the_closed_form(dtype):
     assert np.array_equal(g, s * (1 + x * (1 - s)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_size_map_grad_at_large_inputs_is_the_closed_form(dtype):
+    # the ASBE size map's backward evaluates the sigmoid again too; where it
+    # saturates the gradient must stay finite and be exactly
+    # (R_MAX - 1) * s * (1 - s)
+    z = np.array([-1e4, -90, -30, 30, 90, 1e4], dtype=dtype)
+    with T.using_dtype(dtype):
+        v = Tensor(z)
+        with Tape() as tape:
+            g = tape.grad(T.tsum(ab.size_map(v)), [v])[0]
+    s = T._sigmoid(z)
+    assert g.dtype == dtype and np.isfinite(g).all()
+    assert np.array_equal(g, dtype(ab.R_MAX - 1) * s * (1 - s))
+
+
 def test_sigmoid_within_4_ulp_and_overflow_free():
     x = np.concatenate([np.linspace(-80, 80, 200001, dtype=np.float32),
                         np.random.default_rng(3).uniform(-80, 80, 10000).astype(np.float32)])
@@ -97,7 +113,7 @@ def test_sigmoid_within_4_ulp_and_overflow_free():
         s = T._sigmoid(x)
         ends = T._sigmoid(extremes)
         # both tape ops built on it, forward and backward
-        for op in (T.sigmoid, T.silu):
+        for op in (ab.size_map, T.silu):
             v = Tensor(np.concatenate([x, extremes[1:3]]))
             with Tape() as tape:
                 tape.grad(T.tsum(op(v)), [v])
@@ -118,34 +134,21 @@ def test_binary_shape_error():
 
 
 def test_channel_broadcast():
-    # binary ops take equal shapes or a one-element operand; a channel
-    # vector does not broadcast over a feature map
+    # binary ops take equal shapes; neither a channel vector nor a
+    # one-element operand broadcasts over a feature map
     x = t(np.ones((2, 3, 3, 4)))
     b = t(np.arange(4.0))
     with pytest.raises(ShapeError):
         T.add(x, b)
     with pytest.raises(ShapeError):
         T.mul(b, x)
-    assert T.add(x, t([2.0])).shape == (2, 3, 3, 4)
-
-
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=["add", "sub", "mul"])
-@pytest.mark.parametrize("shape", [(), (1,), (1, 1, 1, 1)], ids=["0d", "1", "1x1x1x1"])
-def test_one_element_operand_gets_the_total_gradient(op, shape):
-    rng = np.random.default_rng(8)
-    with T.using_dtype(np.float64):
-        x = Tensor(rng.standard_normal((2, 3, 3, 4)))
-        s = Tensor(np.full(shape, 1.7))
-        g = rng.standard_normal(x.shape)
-        with Tape() as tape:
-            y = op(x, s)
-            gx, gs = tape.grad(T.tsum(T.mul(y, Tensor(g))), [x, s])
-    # per op: the map's gradient and the one-element operand's
-    want_x, want_s = {T.add: (g, g.sum()), T.sub: (g, -g.sum()),
-                      T.mul: (g * 1.7, (g * x.data).sum())}[op]
-    assert y.shape == x.shape and gs.shape == shape
-    assert np.array_equal(gx, want_x)
-    assert float(gs.reshape(())) == pytest.approx(want_s, rel=1e-12)
+    for op in (T.add, T.sub, T.mul):
+        for shape in [(), (1,), (1, 1, 1, 1)]:
+            s = t(np.full(shape, 1.7))
+            with pytest.raises(ShapeError):
+                op(x, s)
+            with pytest.raises(ShapeError):
+                op(s, x)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,7 @@ def test_tape_entries_hold_node_ids_and_closures_only():
     x, w = t(np.ones((1, 4, 4, 2))), t(np.ones((3, 3, 2, 2)))
     with Tape() as tape:
         y = T.relu(T.add(nn.conv2d(x, w, pad=(1, 1, 1, 1)), x))
-        T.tsum(T.mul(T.sigmoid(y), y))
+        T.tsum(T.mul(T.silu(y), y))
     assert len(tape) == 6
     for node, inputs, backward in tape._entries:
         assert type(node) is int and all(type(i) is int for i in inputs)
@@ -355,7 +358,7 @@ def test_arena_accumulates_a_param_used_twice():
     w = store.value("w")
 
     def f():
-        return T.add(T.tsum(T.mul(w, t([3.0, 1.0, -1.0]))), T.tsum(T.sigmoid(T.mul(w, w))))
+        return T.add(T.tsum(T.mul(w, t([3.0, 1.0, -1.0]))), T.tsum(T.silu(T.mul(w, w))))
 
     with Tape() as tape:
         T.backward(tape, f(), store)
@@ -429,8 +432,9 @@ def test_gradcheck_chain_rule_float32():
 
     def f(v):
         a = T.silu(v)
-        b = T.sigmoid(T.mul(a, a))
-        c = T.add(T.relu(T.sub(v, b)), T.mul(b, a))  # v - b is >= 0.03 from the kink
+        b = T.silu(T.add(a, a))
+        # v - b is > 0 at 3 of the 10 points, each >= 0.03 from the kink
+        c = T.add(T.relu(T.sub(v, b)), T.mul(b, a))
         return T.tsum(T.mul(c, c))
 
     rep = gradcheck(f, x, eps=1e-3, tol=1e-2)
@@ -461,10 +465,7 @@ def test_gradcheck_detects_nondeterminism():
 
     def f(v):
         calls["n"] += 1
-        return T.tsum(T.mul(v, _coerce_scalar(float(calls["n"]))))
-
-    def _coerce_scalar(s):
-        return Tensor(np.asarray(s, dtype=T.default_dtype()))
+        return T.tsum(T.mul(v, t(np.full(v.shape, float(calls["n"])))))
 
     with pytest.raises(NondeterminismError):
         gradcheck(f, t([1.0, 2.0]))
@@ -473,9 +474,17 @@ def test_gradcheck_detects_nondeterminism():
 def test_gradcheck_reports_a_non_finite_value():
     # NaN != NaN, so without this check two NaN passes read as nondeterminism
     with pytest.raises(FloatingPointError, match="nan"):
-        gradcheck(lambda v: T.tsum(T.mul(v, t(np.nan))), t([1.0, 2.0]))
+        gradcheck(lambda v: T.tsum(T.mul(v, t([np.nan, np.nan]))), t([1.0, 2.0]))
     with pytest.raises(FloatingPointError, match="inf"):
-        gradcheck(lambda v: T.tsum(T.mul(v, t(np.inf))), t([1.0, 2.0]))
+        gradcheck(lambda v: T.tsum(T.mul(v, t([np.inf, np.inf]))), t([1.0, 2.0]))
+
+
+def test_gradcheck_records_nothing_on_an_active_tape():
+    with Tape() as tape:
+        T.relu(t([1.0, -2.0]))
+        n = len(tape)
+        assert gradcheck(lambda v: T.tsum(T.mul(v, v)), t([1.0, 2.0]))
+        assert len(tape) == n
 
 
 def test_gradcheck_eps_contract_float32():
