@@ -6,16 +6,26 @@ switch exists precisely to tighten this verification. The contract
 tolerance is 1e-4 (2e-4 for the whole-model subset): the honest float64
 errors are at most ~1e-6, and a gradient 1% off must fail its row.
 
-Each check returns the gradcheck reports of one row; SCOPES names the rows.
-The `tensor.elementwise_chain` row composes relu, silu, add, sub and mul at
-equal shapes, and `model.param_subset` reads each coordinate's bump out of
-its delta vector with two `matmul`s.
+SCOPES names the rows; each row maps a tolerance to its gradcheck reports,
+and `run_row` merges them into one report. Most rows are data for one of
+two builders, which differentiate the probe loss `tsum(mul(y, probe))`:
+- `_arg_checks` checks an op in each of its tensor arguments, the others
+  held fixed (softmax, conv2d, conv2d_transpose, batch and layer norm,
+  avg_pool, Euler fusion);
+- `_module_row` builds a layer on `ParamStore(seed)` and checks it in its
+  input, then in each named parameter (the nn, stair, hvda, asbe and Euler
+  stream layers).
+Four rows are written by hand. `tensor.elementwise_chain` composes relu,
+silu, add, sub and mul at equal shapes; `tensor.matmul` differentiates a
+sum of squares; `model.loss` checks the loss on drawn labels; and
+`model.param_subset` reads each coordinate's bump out of its delta vector
+with two `matmul`s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,14 +45,6 @@ TOL_FACTOR = {"model.param_subset": 2.0}  # rows checked at a multiple of the ba
 Check = Callable[[float], list[GradcheckReport]]  # tol -> the row's reports
 
 
-@dataclass
-class CheckRow:
-    name: str
-    max_rel_err: float
-    passed: bool
-    n_checked: int
-
-
 def _rx(shape, seed):
     return Tensor(np.random.default_rng(seed).standard_normal(shape))
 
@@ -52,7 +54,46 @@ def _probe_loss(y: Tensor, probe: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# per-row checks
+# row builders
+
+def _arg_checks(op: Callable[..., Tensor], args: Sequence[Tensor], probe: Tensor,
+                tol: float) -> list[GradcheckReport]:
+    """One gradcheck of the probe loss of `op(*args)` per argument, in order,
+    with the other arguments held fixed."""
+    reports = []
+    for k, arg in enumerate(args):
+        def f(v):
+            return _probe_loss(op(*args[:k], v, *args[k + 1:]), probe)
+
+        reports.append(gradcheck(f, arg, EPS, tol))
+    return reports
+
+
+def _module_row(build: Callable[[ParamStore], Callable[[Tensor], Tensor]], x_shape, probe_shape,
+                seed: int, tol: float, params: Sequence[str] = ()) -> list[GradcheckReport]:
+    """Gradchecks of the probe loss of a layer, in its input x and then in each
+    named parameter, in order.
+
+    `build` declares the layer on `ParamStore(seed)` and returns it as a
+    function of x; x and the probe are drawn from seeds seed + 1 and seed + 2.
+    A parameter's check leaves its last probed value in the store, so the
+    checks after it see that value.
+    """
+    store = ParamStore(seed)
+    layer = build(store)
+    x, probe = _rx(x_shape, seed + 1), _rx(probe_shape, seed + 2)
+    reports = [gradcheck(lambda v: _probe_loss(layer(v), probe), x, EPS, tol)]
+    for name in params:
+        def f(v):
+            store.set_value(name, v)
+            return _probe_loss(layer(x), probe)
+
+        reports.append(gradcheck(f, store.value(name), EPS, tol))
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# hand-written rows
 
 def check_elementwise(tol):
     x = Tensor(np.random.default_rng(1).standard_normal(10) * 0.8)
@@ -77,218 +118,6 @@ def check_matmul(tol):
             gradcheck(lambda v: T.tsum(T.mul(T.matmul(v, b), T.matmul(v, b))), a, EPS, tol),
             gradcheck(lambda v: T.tsum(T.mul(T.matmul(a, v), T.matmul(a, v))), b, EPS, tol)]
     return reports
-
-
-def check_softmax(tol):
-    x = _rx((3, 5), 4)
-    probe = _rx((3, 5), 5)
-    return [gradcheck(lambda v: _probe_loss(T.softmax_channels(v), probe), x, EPS, tol)]
-
-
-def check_conv2d(tol):
-    reports = []
-    # the second configuration pads the left side wider than the kernel: kernel
-    # column 0 sees no real pixel, and output columns 0-2 see only padding
-    for seed, xs, ws, kw, ps in ((6, (1, 4, 5, 2), (3, 2, 2, 3), dict(stride=2, pad=(1, 0, 2, 1)),
-                                  (1, 2, 4, 3)),
-                                 (26, (1, 3, 2, 2), (2, 3, 2, 3), dict(pad=(0, 0, 5, 0)),
-                                  (1, 2, 5, 3))):
-        x, w, b, probe = _rx(xs, seed), _rx(ws, seed + 1), _rx((3,), seed + 2), _rx(ps, seed + 3)
-        reports += [
-            gradcheck(lambda v: _probe_loss(nn.conv2d(v, w, b, **kw), probe), x, EPS, tol),
-            gradcheck(lambda v: _probe_loss(nn.conv2d(x, v, b, **kw), probe), w, EPS, tol),
-            gradcheck(lambda v: _probe_loss(nn.conv2d(x, w, v, **kw), probe), b, EPS, tol)]
-    return reports
-
-
-def check_conv2d_transpose(tol):
-    x = _rx((1, 3, 3, 2), 13)
-    w = _rx((2, 2, 3, 2), 14)
-    probe = _rx((1, 6, 6, 3), 15)
-    r1 = gradcheck(lambda v: _probe_loss(nn.conv2d_transpose(v, w), probe), x, EPS, tol)
-    r2 = gradcheck(lambda v: _probe_loss(nn.conv2d_transpose(x, v), probe), w, EPS, tol)
-    return [r1, r2]
-
-
-def check_batch_norm(tol):
-    x = _rx((2, 3, 3, 2), 16)
-    probe = _rx((2, 3, 3, 2), 17)
-    gamma, beta = _rx((2,), 18), _rx((2,), 19)
-
-    def bn(v, g):
-        return nn.batch_norm(v, g, beta, np.zeros(2), np.ones(2), True)
-
-    r1 = gradcheck(lambda v: _probe_loss(bn(v, gamma), probe), x, EPS, tol)
-    r2 = gradcheck(lambda v: _probe_loss(bn(x, v), probe), gamma, EPS, tol)
-    return [r1, r2]
-
-
-def check_layer_norm(tol):
-    x = _rx((1, 2, 2, 3), 20)
-    probe = _rx((1, 2, 2, 3), 21)
-    gamma, beta = _rx((3,), 22), _rx((3,), 23)
-    r1 = gradcheck(lambda v: _probe_loss(nn.layer_norm(v, gamma, beta), probe), x, EPS, tol)
-    r2 = gradcheck(lambda v: _probe_loss(nn.layer_norm(x, v, beta), probe), gamma, EPS, tol)
-    return [r1, r2]
-
-
-def check_avg_pool(tol):
-    x = _rx((1, 4, 4, 2), 24)
-    probe = _rx((1, 4, 4, 2), 25)
-    return [gradcheck(lambda v: _probe_loss(nn.avg_pool(v, 3), probe), x, EPS, tol)]
-
-
-def check_mlp(tol):
-    store = ParamStore(26)
-    mlp = nn.Mlp(store, "m", 4)
-    x = _rx((1, 2, 2, 4), 27)
-    probe = _rx((1, 2, 2, 4), 28)
-    r1 = gradcheck(lambda v: _probe_loss(mlp(v), probe), x, EPS, tol)
-
-    def fw(v):
-        store.set_value("m.fc1.w", v)
-        return _probe_loss(mlp(x), probe)
-
-    r2 = gradcheck(fw, store.value("m.fc1.w"), EPS, tol)
-    return [r1, r2]
-
-
-def check_resblock(tol):
-    store = ParamStore(29)
-    blk = nn.ResBlock(store, "rb", 2)
-    x = _rx((1, 4, 4, 2), 30)
-    probe = _rx((1, 4, 4, 2), 31)
-
-    def f(v):
-        return _probe_loss(blk(v, training=True), probe)
-
-    return [gradcheck(f, x, EPS, tol)]
-
-
-def _stair_check(axis, seed, tol):
-    store = ParamStore(seed)
-    stair = sc.StairConv(store, "s", axis, 2, 4, (4, 4), k=2)
-    x = _rx((1, 4, 4, 2), seed + 1)
-    probe = _rx((1, 4, 4, 4), seed + 2)
-
-    def f(v):
-        return _probe_loss(stair(v, training=True), probe)
-
-    def fw(v):
-        store.set_value("s.b2_" + ("left" if axis == sc.HORIZONTAL else "down") + ".conv.w", v)
-        return _probe_loss(stair(x, training=True), probe)
-
-    w0 = store.value("s.b2_" + ("left" if axis == sc.HORIZONTAL else "down") + ".conv.w")
-    return [gradcheck(f, x, EPS, tol), gradcheck(fw, w0, EPS, tol)]
-
-
-def check_hvda_branch(tol):
-    store = ParamStore(40)
-    branch = hv.HvdaBranch(store, "br", 2, (4, 4))
-    x = _rx((1, 4, 4, 2), 41)
-    probe = _rx((1, 4, 4, 2), 42)
-
-    def f(v):
-        return _probe_loss(branch(v, training=True), probe)
-
-    return [gradcheck(f, x, EPS, tol)]
-
-
-def check_hvda_attention(tol):
-    store = ParamStore(43)
-    attn = hv.HvdaAttention(store, "at", 2, (4, 4))
-    x = _rx((1, 4, 4, 2), 44)
-    probe = _rx((1, 4, 4, 2), 45)
-
-    def f(v):
-        return _probe_loss(attn(v, training=True), probe)
-
-    def fq(v):
-        store.set_value("at.proj_q.w", v)
-        return _probe_loss(attn(x, training=True), probe)
-
-    return [gradcheck(f, x, EPS, tol),
-            gradcheck(fq, store.value("at.proj_q.w"), EPS, tol)]
-
-
-def check_details_block(tol):
-    store = ParamStore(46)
-    blk = hv.DetailsTransformerBlock(store, "dtb", 4, (4, 4))
-    x = _rx((1, 4, 4, 4), 47)
-    probe = _rx((1, 4, 4, 4), 48)
-
-    def f(v):
-        return _probe_loss(blk(v, training=True), probe)
-
-    return [gradcheck(f, x, EPS, tol)]
-
-
-def check_arconv(tol):
-    store = ParamStore(49)
-    ar = ab.ArConv(store, "ar", 2)
-    x = _rx((1, 5, 5, 2), 50)
-    probe = _rx((1, 5, 5, 2), 51)
-    r1 = gradcheck(lambda v: _probe_loss(ar(v), probe), x, EPS, tol)
-
-    def fs(v):
-        store.set_value("ar.shape2.w", v)
-        return _probe_loss(ar(x), probe)
-
-    def fk(v):
-        store.set_value("ar.w", v)
-        return _probe_loss(ar(x), probe)
-
-    r2 = gradcheck(fs, store.value("ar.shape2.w"), EPS, tol)
-    r3 = gradcheck(fk, store.value("ar.w"), EPS, tol)
-    return [r1, r2, r3]
-
-
-def check_asbe_stem(tol):
-    store = ParamStore(52)
-    stem = ab.AsbeStem(store, "st", 1, c_stem=4, c_mid=2)
-    x = _rx((1, 6, 6, 1), 53)
-    probe = _rx((1, 6, 6, 4), 54)
-    return [gradcheck(lambda v: _probe_loss(stem(v), probe), x, EPS, tol)]
-
-
-def check_euler_expand(tol):
-    """Each axis' expansion and pair conv (`euler_pair_conv` after the
-    amplitude and phase convs), in the stream input and the pair conv's
-    weights and bias."""
-    store = ParamStore(55)
-    stream = ef.EulerStream(store, "es", 2)
-    x = _rx((1, 3, 3, 2), 56)
-    probe = _rx((1, 3, 3, 2), 57)
-    reports = []
-    for axis in (ef.HORIZONTAL, ef.VERTICAL):
-        reports.append(gradcheck(lambda v: _probe_loss(stream.directional(v, axis), probe),
-                                 x, EPS, tol))
-        for name in stream.group[axis][:2]:
-            def f(v):
-                store.set_value(name, v)
-                return _probe_loss(stream.directional(x, axis), probe)
-
-            reports.append(gradcheck(f, store.value(name), EPS, tol))
-    return reports
-
-
-def check_euler_stream(tol):
-    store = ParamStore(58)
-    stream = ef.EulerStream(store, "es", 2)
-    x = _rx((1, 4, 4, 2), 59)
-    probe = _rx((1, 4, 4, 2), 60)
-    return [gradcheck(lambda v: _probe_loss(stream(v), probe), x, EPS, tol)]
-
-
-def check_euler_fuse(tol):
-    store = ParamStore(61)
-    fuse = ef.EulerFusion(store, "ff", 2)
-    xd = _rx((1, 3, 3, 2), 62)
-    probe = _rx((1, 3, 3, 2), 63)
-    xs = _rx((1, 3, 3, 2), 64)
-    r1 = gradcheck(lambda v: _probe_loss(fuse(v, xd), probe), xs, EPS, tol)
-    r2 = gradcheck(lambda v: _probe_loss(fuse(xs, v), probe), xd, EPS, tol)
-    return [r1, r2]
 
 
 def check_loss(tol):
@@ -343,34 +172,104 @@ def check_model_subset(tol):
     return [gradcheck(f, T.zeros((len(picks),)), EPS, tol)]
 
 
+# ---------------------------------------------------------------------------
+# the rows: tensors are drawn when a row runs, under the 64-bit switch
+
 SCOPES: dict[str, dict[str, Check]] = {
-    "tensor": {"tensor.elementwise_chain": check_elementwise, "tensor.matmul": check_matmul,
-               "tensor.softmax": check_softmax},
-    "nn": {"nn.conv2d": check_conv2d, "nn.conv2d_transpose": check_conv2d_transpose,
-           "nn.batch_norm": check_batch_norm, "nn.layer_norm": check_layer_norm,
-           "nn.avg_pool": check_avg_pool, "nn.mlp": check_mlp, "nn.resblock": check_resblock},
-    "stair": {"stair.horizontal": lambda tol: _stair_check(sc.HORIZONTAL, 32, tol),
-              "stair.vertical": lambda tol: _stair_check(sc.VERTICAL, 36, tol)},
-    "hvda": {"hvda.branch": check_hvda_branch, "hvda.attention": check_hvda_attention,
-             "hvda.details_block": check_details_block},
-    "asbe": {"asbe.arconv": check_arconv, "asbe.stem": check_asbe_stem},
-    "euler": {"euler.expand": check_euler_expand, "euler.stream": check_euler_stream,
-              "euler.fuse": check_euler_fuse},
+    "tensor": {
+        "tensor.elementwise_chain": check_elementwise,
+        "tensor.matmul": check_matmul,
+        "tensor.softmax": lambda tol: _arg_checks(
+            T.softmax_channels, [_rx((3, 5), 4)], _rx((3, 5), 5), tol),
+    },
+    "nn": {
+        # the second configuration pads the left side wider than the kernel: kernel
+        # column 0 sees no real pixel, and output columns 0-2 see only padding
+        "nn.conv2d": lambda tol: (
+            _arg_checks(partial(nn.conv2d, stride=2, pad=(1, 0, 2, 1)),
+                        [_rx((1, 4, 5, 2), 6), _rx((3, 2, 2, 3), 7), _rx((3,), 8)],
+                        _rx((1, 2, 4, 3), 9), tol)
+            + _arg_checks(partial(nn.conv2d, pad=(0, 0, 5, 0)),
+                          [_rx((1, 3, 2, 2), 26), _rx((2, 3, 2, 3), 27), _rx((3,), 28)],
+                          _rx((1, 2, 5, 3), 29), tol)),
+        "nn.conv2d_transpose": lambda tol: _arg_checks(
+            nn.conv2d_transpose, [_rx((1, 3, 3, 2), 13), _rx((2, 2, 3, 2), 14), _rx((3,), 69)],
+            _rx((1, 6, 6, 3), 15), tol),
+        "nn.batch_norm": lambda tol: _arg_checks(
+            partial(nn.batch_norm, beta=_rx((2,), 19), running_mean=np.zeros(2),
+                    running_var=np.ones(2), training=True),
+            [_rx((2, 3, 3, 2), 16), _rx((2,), 18)], _rx((2, 3, 3, 2), 17), tol),
+        "nn.layer_norm": lambda tol: _arg_checks(
+            partial(nn.layer_norm, beta=_rx((3,), 23)),
+            [_rx((1, 2, 2, 3), 20), _rx((3,), 22)], _rx((1, 2, 2, 3), 21), tol),
+        "nn.avg_pool": lambda tol: _arg_checks(
+            partial(nn.avg_pool, k=3), [_rx((1, 4, 4, 2), 24)], _rx((1, 4, 4, 2), 25), tol),
+        "nn.mlp": lambda tol: _module_row(
+            lambda s: nn.Mlp(s, "m", 4), (1, 2, 2, 4), (1, 2, 2, 4), 26, tol, ["m.fc1.w"]),
+        "nn.resblock": lambda tol: _module_row(
+            lambda s: partial(nn.ResBlock(s, "rb", 2), training=True),
+            (1, 4, 4, 2), (1, 4, 4, 2), 29, tol),
+    },
+    "stair": {
+        "stair.horizontal": lambda tol: _module_row(
+            lambda s: partial(sc.StairConv(s, "s", sc.HORIZONTAL, 2, 4, (4, 4), k=2),
+                              training=True),
+            (1, 4, 4, 2), (1, 4, 4, 4), 32, tol, ["s.b2_left.conv.w"]),
+        "stair.vertical": lambda tol: _module_row(
+            lambda s: partial(sc.StairConv(s, "s", sc.VERTICAL, 2, 4, (4, 4), k=2),
+                              training=True),
+            (1, 4, 4, 2), (1, 4, 4, 4), 36, tol, ["s.b2_down.conv.w"]),
+    },
+    "hvda": {
+        "hvda.branch": lambda tol: _module_row(
+            lambda s: partial(hv.HvdaBranch(s, "br", 2, (4, 4)), training=True),
+            (1, 4, 4, 2), (1, 4, 4, 2), 40, tol),
+        "hvda.attention": lambda tol: _module_row(
+            lambda s: partial(hv.HvdaAttention(s, "at", 2, (4, 4)), training=True),
+            (1, 4, 4, 2), (1, 4, 4, 2), 43, tol, ["at.proj_q.w"]),
+        "hvda.details_block": lambda tol: _module_row(
+            lambda s: partial(hv.DetailsTransformerBlock(s, "dtb", 4, (4, 4)), training=True),
+            (1, 4, 4, 4), (1, 4, 4, 4), 46, tol,
+            ["dtb.sub1.attn.branch_v.stair_h.b1_right.conv.w"]),
+    },
+    "asbe": {
+        "asbe.arconv": lambda tol: _module_row(
+            lambda s: ab.ArConv(s, "ar", 2), (1, 5, 5, 2), (1, 5, 5, 2), 49, tol,
+            ["ar.shape2.w", "ar.w"]),
+        "asbe.stem": lambda tol: _module_row(
+            lambda s: ab.AsbeStem(s, "st", 1, c_stem=4, c_mid=2),
+            (1, 6, 6, 1), (1, 6, 6, 4), 52, tol),
+    },
+    "euler": {
+        # each axis' expansion and pair conv (`euler_pair_conv` after the amplitude
+        # and phase convs), in the stream input and the pair conv's weights and bias
+        "euler.expand": lambda tol: [
+            r for axis in (ef.HORIZONTAL, ef.VERTICAL) for r in _module_row(
+                lambda s: partial(ef.EulerStream(s, "es", 2).directional, axis=axis),
+                (1, 3, 3, 2), (1, 3, 3, 2), 55, tol,
+                [f"es.group_{axis}.w", f"es.group_{axis}.b"])],
+        "euler.stream": lambda tol: _module_row(
+            lambda s: ef.EulerStream(s, "es", 2), (1, 4, 4, 2), (1, 4, 4, 2), 58, tol),
+        "euler.fuse": lambda tol: _arg_checks(
+            ef.EulerFusion(ParamStore(61), "ff", 2),
+            [_rx((1, 3, 3, 2), 64), _rx((1, 3, 3, 2), 62)], _rx((1, 3, 3, 2), 63), tol),
+    },
     "model": {"model.loss": check_loss, "model.param_subset": check_model_subset},
 }
 
 
-def run_row(name: str, check: Check) -> CheckRow:
-    """One row under the float64 switch, at TOL times the row's factor."""
+def run_row(name: str, check: Check) -> GradcheckReport:
+    """One row under the float64 switch, at TOL times the row's factor, as one
+    report: the largest error of its checks and the coordinates they cover."""
     tol = TOL * TOL_FACTOR.get(name, 1.0)
     with T.using_dtype(np.float64):
         reports = check(tol)
     err = max(r.max_rel_err for r in reports)
-    return CheckRow(name, err, err <= tol, sum(r.n_checked for r in reports))
+    return GradcheckReport(err, err <= tol, sum(r.n_checked for r in reports))
 
 
-def run_suite(scope: str) -> list[CheckRow]:
-    """Run one scope (or 'all')."""
+def run_suite(scope: str) -> dict[str, GradcheckReport]:
+    """Run one scope (or 'all'), by row name."""
     if scope == "all":
         names = list(SCOPES)
     elif scope in SCOPES:
@@ -378,4 +277,4 @@ def run_suite(scope: str) -> list[CheckRow]:
     else:
         raise T.ConfigError(f"unknown gradcheck scope {scope!r}; "
                             f"choose from {list(SCOPES) + ['all']}")
-    return [run_row(row, check) for s in names for row, check in SCOPES[s].items()]
+    return {row: run_row(row, check) for s in names for row, check in SCOPES[s].items()}

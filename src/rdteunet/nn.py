@@ -147,7 +147,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     return _rec(Tensor(y), (x, w, b) if has_bias else (x, w), bw)
 
 
-def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """2x2 stride-2 transposed convolution: doubles H and W.
 
     The adjoint of the 2x2 stride-2 conv2d from (2h, 2w, cout) to (h, w, cin)
@@ -164,16 +164,15 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     n, h, wd, cx = x.shape
     if cx != cin:
         raise ShapeError(f"input has {cx} channels, weight expects {cin}")
-    if b is not None and b.shape != (cout,):
+    if b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} != ({cout},)")
 
     rows, cols = _tap_spans(h, 2 * h, 0, 2, 2), _tap_spans(wd, 2 * wd, 0, 2, 2)
     taps = [(i, j, r, c) for i, r in enumerate(rows) for j, c in enumerate(cols)]
     xa, wa = x.data, w.data
-    y = np.full((n, 2 * h, 2 * wd, cout), 0 if b is None else b.data, dtype=xa.dtype)
+    y = np.full((n, 2 * h, 2 * wd, cout), b.data, dtype=xa.dtype)
     for i, j, (ro, ri), (co, ci) in taps:
         _tap_madd(y[:, ri, ci], xa[:, ro, co], wa[i, j].T)
-    has_bias = b is not None
 
     def bw(g):
         dx = np.zeros_like(xa)
@@ -182,11 +181,9 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             gt = g[:, ri, ci].reshape(-1, cout)
             _tap_madd(dx[:, ro, co], gt, wa[i, j])
             _tap_weight_grad(dw[i, j], gt, xa[:, ro, co])
-        if not has_bias:
-            return dx, dw
         return dx, dw, T.gemv_sum(g, (0, 1, 2))
 
-    return _rec(Tensor(y), (x, w, b) if has_bias else (x, w), bw)
+    return _rec(Tensor(y), (x, w, b), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 import rdteunet.hvda as hv
 import rdteunet.tensor as T
-from rdteunet.tensor import ConfigError, ParamStore, Tensor, gradcheck
+from rdteunet.tensor import ConfigError, ParamStore, Tensor
 
 
 def rx(shape, seed=0, scale=1.0):
@@ -169,20 +169,3 @@ def test_block_identity_when_projections_zeroed():
     x = rx((2, 4, 4, 4), 33)
     y = blk(x, training=False)
     assert np.array_equal(y.data, x.data)  # bit-exact residual-only path
-
-
-def test_block_param_gradcheck_spot():
-    # gradient w.r.t. a deep branch conv weight, via a wrapped scalar function
-    with T.using_dtype(np.float64):
-        store = ParamStore(37)
-        blk = hv.DetailsTransformerBlock(store, "dtb", 2, (4, 4))
-        x = rx((1, 4, 4, 2), 38)
-        probe = rx((1, 4, 4, 2), 39)
-        name = "dtb.sub1.attn.branch_v.stair_h.b1_right.conv.w"
-
-        def f(v):
-            store.set_value(name, v)
-            return T.tsum(T.mul(blk(x, training=True), probe))
-
-        w0 = store.value(name)
-        assert gradcheck(f, w0, eps=1e-5, tol=1e-2).passed

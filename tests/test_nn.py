@@ -249,7 +249,7 @@ def test_transpose_rejects_other_kernels():
 
 def test_transpose_rejects_weights_that_are_not_4d():
     with pytest.raises(ShapeError, match=r"\(2, 2, 1\)"):
-        nn.conv2d_transpose(rt((1, 2, 2, 1)), rt((2, 2, 1)))
+        nn.conv2d_transpose(rt((1, 2, 2, 1)), rt((2, 2, 1)), T.zeros((1,)))
 
 
 def test_conv_transpose_adjoint_identity():
@@ -261,7 +261,7 @@ def test_conv_transpose_adjoint_identity():
             y = Tensor(rng.standard_normal((n, h, w, cout)))
             wt = Tensor(rng.standard_normal((2, 2, cin, cout)))
             lhs = float((nn.conv2d(x, wt, stride=2).data * y.data).sum())
-            rhs = float((x.data * nn.conv2d_transpose(y, wt).data).sum())
+            rhs = float((x.data * nn.conv2d_transpose(y, wt, T.zeros((cin,))).data).sum())
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (n, h, w, cin, cout)
 
 
@@ -269,15 +269,16 @@ def test_transpose_gradcheck():
     with T.using_dtype(np.float64):
         x = rt((1, 3, 3, 2), 41)
         w = rt((2, 2, 3, 2), 42)
+        b = T.zeros((3,))
 
         def f(v):
-            y = nn.conv2d_transpose(v, w)
+            y = nn.conv2d_transpose(v, w, b)
             return T.tsum(T.mul(y, y))
 
         assert gradcheck(f, x, eps=1e-5, tol=1e-6).passed
 
         def fw(v):
-            y = nn.conv2d_transpose(x, v)
+            y = nn.conv2d_transpose(x, v, b)
             return T.tsum(T.mul(y, y))
 
         assert gradcheck(fw, w, eps=1e-5, tol=1e-6).passed

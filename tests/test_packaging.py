@@ -42,12 +42,9 @@ def _takes_a_generator(arg: ast.arg) -> bool:
 
 
 def test_no_layer_takes_a_random_generator():
-    # a ParamStore owns the seed of every initial value; only the data
-    # generator and the gradient suite draw from a generator of their own
+    # a ParamStore owns the seed of every initial value
     sources = sorted((ROOT / "src" / "rdteunet").glob("*.py"))
     for path in sources:
-        if path.stem in ("datasynth", "gradsuite"):
-            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args
