@@ -280,41 +280,52 @@ def segmentation_loss(logits: Tensor, labels) -> Tensor:
 ARENA_BLOCK = 1 << 15
 
 
-def _blocks(n: int):
-    return ((lo, min(lo + ARENA_BLOCK, n)) for lo in range(0, n, ARENA_BLOCK))
-
-
 def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
     The squared norm is a sum of per-block dot products in the grad dtype,
-    added up in a Python float. Raises ConfigError unless max_norm > 0 (a NaN
-    included), and FloatingPointError, naming the first parameter whose
-    gradient holds a NaN or inf; both before any gradient is scaled.
+    added up in block order in a Python float. The caller and the worker
+    thread share the blocks of the norm pass and of the scale pass
+    (`tensor.sweep_arena`), so the result is the one loop's, bit for bit.
+    Raises ConfigError unless max_norm > 0 (a NaN included), and
+    FloatingPointError, naming the first parameter whose gradient holds a
+    NaN or inf; both before any gradient is scaled.
     """
     if not max_norm > 0:
         raise ConfigError(f"max_norm must be > 0, got {max_norm}")
     _, grads = store.arena()
-    blocks = [grads[lo:hi] for lo, hi in _blocks(grads.size)]
+    squares = np.empty(-(-grads.size // ARENA_BLOCK))
+
+    def square(lo, hi, lane):
+        squares[lo // ARENA_BLOCK] = np.dot(grads[lo:hi], grads[lo:hi])
+
     with np.errstate(over="ignore"):  # an overflowed block sum is handled below
-        norm = math.sqrt(sum(float(np.dot(b, b)) for b in blocks))
+        T.sweep_arena(grads.size, ARENA_BLOCK, square)
+    norm = math.sqrt(sum(squares.tolist()))
     if not math.isfinite(norm):
         for name, p in store.items():
             if not np.isfinite(p.grad).all():
                 raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
         # finite gradients whose squares overflow (float32 above ~1e19, float64
         # above ~1e154): sum the squares of grad / max|grad| in float64
+        blocks = [grads[lo:lo + ARENA_BLOCK] for lo in range(0, grads.size, ARENA_BLOCK)]
         top = max(float(np.abs(b).max()) for b in blocks)
         units = (b.astype(np.float64) / top for b in blocks)
         norm = top * math.sqrt(sum(float(np.dot(u, u)) for u in units))
     if norm > max_norm and norm > 0:
-        grads *= max_norm / norm
+        factor = max_norm / norm
+
+        def scale(lo, hi, lane):
+            grads[lo:hi] *= factor
+
+        T.sweep_arena(grads.size, ARENA_BLOCK, scale)
     return norm
 
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _retain_freed_heap() -> None:
@@ -325,6 +336,8 @@ def _retain_freed_heap() -> None:
     thousands of minor faults per `no_hvda` step). A 1 GiB trim threshold
     keeps those pages; a fixed 32 MiB mmap threshold keeps glibc from moving
     its threshold, so allocations up to that size come from the kept heap.
+    One malloc arena makes the worker thread's temporaries come from that
+    same kept heap rather than from a second arena of their own.
     Does nothing where the C library has no `mallopt`.
     """
     try:
@@ -335,6 +348,7 @@ def _retain_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -346,10 +360,12 @@ class Adam:
 
     A step sweeps the flat value, grad and moment arrays in blocks of
     ARENA_BLOCK elements, with the elementwise operations of a per-tensor
-    update in the same order, so it gives bit-equal values. The step reads
-    `self.store`'s arena each time: after a checkpoint round trip, pointing
-    `store` at the loaded model's store carries the moments over. Raises
-    ConfigError unless lr > 0 (a NaN included).
+    update in the same order, so it gives bit-equal values. The caller and
+    the worker thread share the blocks (`tensor.sweep_arena`), each with a
+    scratch block of its own, so which thread updates a block changes no
+    value. The step reads `self.store`'s arena each time: after a checkpoint
+    round trip, pointing `store` at the loaded model's store carries the
+    moments over. Raises ConfigError unless lr > 0 (a NaN included).
     """
 
     def __init__(self, store: ParamStore, lr: float = 1e-3):
@@ -362,7 +378,8 @@ class Adam:
         values, _ = store.arena()
         self._m = np.zeros_like(values)
         self._v = np.zeros_like(values)
-        self._tmp = np.empty(min(ARENA_BLOCK, values.size), values.dtype)
+        # one scratch block per lane of the sweep: the caller's and the worker's
+        self._tmp = np.empty((2, min(ARENA_BLOCK, values.size)), values.dtype)
 
     def step(self) -> None:
         values, grads = self.store.arena()
@@ -373,9 +390,10 @@ class Adam:
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc2 = 1.0 - b2 ** self.t
         scale = self.lr / (1.0 - b1 ** self.t)
-        for lo, hi in _blocks(values.size):
+
+        def update(lo, hi, lane):
             g, m, v = grads[lo:hi], self._m[lo:hi], self._v[lo:hi]
-            d = self._tmp[:hi - lo]
+            d = self._tmp[lane, :hi - lo]
             m *= b1
             np.multiply(g, 1 - b1, out=d)
             m += d
@@ -389,6 +407,8 @@ class Adam:
             np.divide(m, d, out=d)
             d *= scale
             values[lo:hi] -= d
+
+        T.sweep_arena(values.size, ARENA_BLOCK, update)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     A sum over kernel taps: tap (i, j) multiplies the rectangle of real input
     pixels it sees by w[i, j] into the matching output rectangle, as one GEMM,
     so products with padding are skipped and outputs that see only padding
-    get the bias.
+    get the bias. The backward's weight-gradient GEMMs are one `param_grad`
+    job, which runs on the worker when w has a grad slot.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d expects NHWC input, got shape {x.shape}")
@@ -124,22 +125,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
 
     rows, cols = _tap_spans(oh, h, pt, kh, stride), _tap_spans(ow, wd, pl, kw, stride)
     taps = [(i, j, r, c) for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
-    xa, wa = x.data, w.data
+    xa, wa, w_node = x.data, w.data, w.node
     y = np.full((n, oh, ow, cout), 0 if b is None else b.data, dtype=xa.dtype)
     for i, j, (ro, ri), (co, ci) in taps:
         _tap_madd(y[:, ro, co], xa[:, ri, ci], wa[i, j])
     has_bias = b is not None
 
     def bw(g):
+        def weight_grad(dw):
+            # taps that see no pixel (a kernel row or column beyond the image) get zeros
+            dw[[i for i, r in enumerate(rows) if r is None]] = 0
+            dw[:, [j for j, c in enumerate(cols) if c is None]] = 0
+            for i, j, (ro, ri), (co, ci) in taps:
+                _tap_weight_grad(dw[i, j], xa[:, ri, ci], g[:, ro, co])
+
+        dw = T.param_grad(w_node, wa, weight_grad)  # on the worker when it is w's grad slot
         dx = np.zeros(xa.shape, dtype=xa.dtype)
-        dw = np.empty(wa.shape, dtype=wa.dtype)
-        # taps that see no pixel (a kernel row or column beyond the image) get zeros
-        dw[[i for i, r in enumerate(rows) if r is None]] = 0
-        dw[:, [j for j, c in enumerate(cols) if c is None]] = 0
         for i, j, (ro, ri), (co, ci) in taps:
-            gt = g[:, ro, co].reshape(-1, cout)  # one copy of a strided slice, for both GEMMs
-            _tap_madd(dx[:, ri, ci], gt, wa[i, j].T)
-            _tap_weight_grad(dw[i, j], xa[:, ri, ci], gt)
+            _tap_madd(dx[:, ri, ci], g[:, ro, co], wa[i, j].T)
         if not has_bias:
             return dx, dw
         return dx, dw, T.gemv_sum(g, (0, 1, 2))
@@ -169,18 +172,20 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     rows, cols = _tap_spans(h, 2 * h, 0, 2, 2), _tap_spans(wd, 2 * wd, 0, 2, 2)
     taps = [(i, j, r, c) for i, r in enumerate(rows) for j, c in enumerate(cols)]
-    xa, wa = x.data, w.data
+    xa, wa, w_node = x.data, w.data, w.node
     y = np.full((n, 2 * h, 2 * wd, cout), b.data, dtype=xa.dtype)
     for i, j, (ro, ri), (co, ci) in taps:
         _tap_madd(y[:, ri, ci], xa[:, ro, co], wa[i, j].T)
 
     def bw(g):
+        def weight_grad(dw):  # every one of the four taps is live
+            for i, j, (ro, ri), (co, ci) in taps:
+                _tap_weight_grad(dw[i, j], g[:, ri, ci], xa[:, ro, co])
+
+        dw = T.param_grad(w_node, wa, weight_grad)  # on the worker when it is w's grad slot
         dx = np.zeros_like(xa)
-        dw = np.empty_like(wa)  # every one of the four taps is live
         for i, j, (ro, ri), (co, ci) in taps:
-            gt = g[:, ri, ci].reshape(-1, cout)
-            _tap_madd(dx[:, ro, co], gt, wa[i, j])
-            _tap_weight_grad(dw[i, j], gt, xa[:, ro, co])
+            _tap_madd(dx[:, ro, co], g[:, ri, ci], wa[i, j])
         return dx, dw, T.gemv_sum(g, (0, 1, 2))
 
     return _rec(Tensor(y), (x, w, b), bw)

@@ -33,14 +33,34 @@ reads is freed as soon as the forward drops its last Python name.
 `Tape.grad` consumes its tape: it pops each entry before it runs the
 entry's closure, so the sweep frees what the forward saved as it goes, and
 a second sweep of the same tape raises ConfigError.
+
+Concurrency. Where the process may run on two or more cores, one worker
+thread, started at the first job, takes work off the calling thread; with
+one core every job runs inline in the caller, through the same code, so
+every value is the same either way. Two kinds of job exist. A closure whose
+input is a parameter with a grad slot (`Tape.grad`'s `out`) writes that
+gradient on its first contribution straight into the slot (`param_grad`);
+the conv weight gradients do this as a worker job, while the closure goes
+on to the input gradient. And `sweep_arena` splits a pass over an arena
+into blocks that the caller and the worker pull one at a time. Closures
+themselves run on the calling thread, and the tape and its sweep state are
+the calling thread's. A job touches only NumPy arrays: it reads neither
+`default_dtype()` nor the tape stack (both thread-local), runs under the
+`np.errstate` that was in force where it was submitted, and calls nothing
+that a tracer of this package's public callables would wrap. A job's error
+is raised by the caller's next wait (`Tape.grad`, `sweep_arena`), after
+every pending job has finished, and leaves the worker ready for the next.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import io
 import itertools
 import json
 import math
+import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -99,6 +119,118 @@ class using_dtype:
     def __exit__(self, *exc):
         set_default_dtype(self.prev)
         return False
+
+
+# ---------------------------------------------------------------------------
+# worker thread
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return 1
+
+
+# worker threads beside the caller: one where the process may use two cores
+_WORKERS = 1 if _cores() >= 2 else 0
+# jobs that may wait for the worker; the caller runs a job past that itself
+_QUEUE_DEPTH = 4
+
+
+class _Worker:
+    """One lazily started daemon thread that runs submitted jobs in order.
+
+    `submit` queues a job, or runs it in the caller when there is no worker
+    or the queue is full. `wait` returns once every job has finished: the
+    caller runs the jobs the worker has not started, then waits for the one
+    it is running, so a stalled worker costs at most that one job. A job's
+    error is kept, and `wait` raises the first after all jobs are done. No
+    finished job stays referenced, so a job keeps no array alive after it ran.
+    """
+
+    def __init__(self):
+        self._cv = threading.Condition()
+        self._queue: collections.deque = collections.deque()
+        self._busy = False
+        self._error: BaseException | None = None
+        self._thread: threading.Thread | None = None
+
+    def submit(self, job: Callable[[], None]) -> None:
+        if _WORKERS:
+            with self._cv:
+                if len(self._queue) < _QUEUE_DEPTH:
+                    if self._thread is None:
+                        self._thread = threading.Thread(
+                            target=self._loop, name="rdteunet-worker", daemon=True)
+                        self._thread.start()
+                    self._queue.append((job, np.geterr()))
+                    self._cv.notify()
+                    return
+        job()
+
+    def wait(self) -> None:
+        while True:
+            with self._cv:
+                if not self._queue:
+                    while self._busy:
+                        self._cv.wait()
+                    error, self._error = self._error, None
+                    break
+                job, errstate = self._queue.popleft()
+            self._run(job, errstate)
+        if error is not None:
+            raise error
+
+    def _run(self, job, errstate) -> None:
+        try:
+            with np.errstate(**errstate):
+                job()
+        except Exception as e:  # kept for the caller, who raises it at its wait
+            with self._cv:
+                if self._error is None:
+                    self._error = e
+
+    def _loop(self) -> None:
+        while True:
+            with self._cv:
+                while not self._queue:
+                    self._cv.wait()
+                job, errstate = self._queue.popleft()
+                self._busy = True
+            self._run(job, errstate)
+            job = None  # a finished job must not pin its arrays while the worker idles
+            with self._cv:
+                self._busy = False
+                self._cv.notify_all()
+
+
+_worker = _Worker()
+
+
+def sweep_arena(n: int, block: int, body: Callable[[int, int, int], None]) -> None:
+    """Run `body(lo, hi, lane)` for every block [lo, hi) of `block` elements
+    of range(n). The caller (lane 0) and the worker (lane 1) pull the blocks
+    one at a time from one counter, so which lane runs a block varies, and a
+    stalled lane holds up at most one block. A body that writes only its own
+    block, and buffers of its own lane, gives the same values as one loop.
+    Returns when every block is done; raises the first error of either lane.
+    """
+    counter = itertools.count()
+    lock = threading.Lock()
+
+    def pull(lane: int) -> None:
+        while True:
+            with lock:
+                lo = next(counter) * block
+            if lo >= n:
+                return
+            body(lo, min(lo + block, n), lane)
+
+    _worker.submit(functools.partial(pull, 1))
+    try:
+        pull(0)
+    finally:
+        _worker.wait()
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +329,9 @@ class Tape:
     Entries are appended in execution order, so inputs always precede the
     entry that consumes them. `grad` consumes the tape: its sweep pops the
     entries in reverse, each before its closure runs, and a second sweep
-    raises ConfigError. A tape is single-threaded.
+    raises ConfigError. A tape belongs to one thread: entries are recorded
+    and closures run on the thread that made them; only the jobs a closure
+    submits through `param_grad` run on the worker (module docstring).
     """
 
     def __init__(self):
@@ -225,9 +359,14 @@ class Tape:
 
         Tensors unreachable from the loss get zero gradients. With `out`, one
         writable array per tensor of `wrt`, each gradient is accumulated in
-        its array during the sweep (the first contribution copied, later ones
-        added in place), and `out` is returned. The sweep empties the tape;
-        a tape already swept raises ConfigError.
+        its array during the sweep, and `out` is returned. A first
+        contribution is written into its array by the closure itself where
+        the closure uses `param_grad` (then nothing is copied; the conv
+        weights do this on the worker), and copied into it otherwise; later
+        contributions are added in place, each after every pending job has
+        finished. The sweep waits for every job before it returns, and
+        raises the first error of one. The sweep empties the tape; a tape
+        already swept raises ConfigError.
         """
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -239,23 +378,30 @@ class Tape:
         slots = {} if out is None else {t.node: s for t, s in zip(wrt, out)}
         grads: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
         entries = self._entries
-        while entries:
-            node, inputs, backward = entries.pop()
-            g = grads.get(node) if node in keep else grads.pop(node, None)
-            if g is None:
-                continue
-            for i, gt in zip(inputs, backward(g)):
-                if gt is None:
+        outer, _state.sweep = getattr(_state, "sweep", None), (slots, grads)
+        try:
+            while entries:
+                node, inputs, backward = entries.pop()
+                g = grads.get(node) if node in keep else grads.pop(node, None)
+                if g is None:
                     continue
-                acc = grads.get(i)
-                slot = slots.get(i)
-                if slot is None:
-                    grads[i] = gt if acc is None else acc + gt
-                elif acc is None:
-                    np.copyto(slot, gt)
-                    grads[i] = slot
-                else:
-                    slot += gt
+                for i, gt in zip(inputs, backward(g)):
+                    if gt is None:
+                        continue
+                    acc = grads.get(i)
+                    slot = slots.get(i)
+                    if slot is None:
+                        grads[i] = gt if acc is None else acc + gt
+                    elif acc is None:
+                        if gt is not slot:
+                            np.copyto(slot, gt)
+                        grads[i] = slot
+                    else:
+                        _worker.wait()  # a job may still be writing this slot
+                        slot += gt
+        finally:
+            _state.sweep = outer
+            _worker.wait()
         if out is None:
             return [grads.get(t.node, np.zeros_like(t.data)) for t in wrt]
         for t, slot in zip(wrt, out):
@@ -271,6 +417,28 @@ def _rec(out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     ts = _tapes()
     if ts:
         ts[-1].record(out, inputs, backward)
+    return out
+
+
+def param_grad(node: int, like: np.ndarray, fill: Callable[[np.ndarray], None]) -> np.ndarray:
+    """The gradient for the tensor `node`, of like's shape and dtype, that
+    `fill(out)` writes whole into `out`; for a closure to return.
+
+    When the running `Tape.grad` sweep has a grad slot for `node` and this is
+    its first contribution, `fill` is a worker job that writes straight into
+    the slot, and the slot is returned: the sweep copies nothing, and waits
+    for the job before it adds to the slot or returns. Otherwise `fill`
+    writes a new array here.
+    """
+    sweep = getattr(_state, "sweep", None)
+    if sweep is not None:
+        slots, grads = sweep
+        slot = slots.get(node)
+        if slot is not None and node not in grads:
+            _worker.submit(functools.partial(fill, slot))
+            return slot
+    out = np.empty_like(like)
+    fill(out)
     return out
 
 
