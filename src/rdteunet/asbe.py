@@ -110,6 +110,8 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
     expressions (`_sample_geometry`, `samples`), so they are bit-equal to
     the forward's, rather than holding them until the sweep.
     """
+    if x.data.ndim != 4:
+        raise ShapeError(f"arconv_sample expects NHWC input, got {x.shape}")
     nb, h, wd, c = x.shape
     if sizes.shape != (nb, h, wd, 2):
         raise ShapeError(f"sizes shape {sizes.shape} != {(nb, h, wd, 2)}")
@@ -117,6 +119,8 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if n_grid < 2 or w.shape[1] != n_grid or w.shape[2] != c:
         raise ShapeError(f"kernel shape {w.shape} is not an (n, n, {c}, c_out) grid, n >= 2")
     cout = w.shape[3]
+    if b.shape != (cout,):
+        raise ShapeError(f"bias shape {b.shape} != ({cout},)")
     dt = x.data.dtype
     m = nb * h * wd
     nn2 = n_grid * n_grid

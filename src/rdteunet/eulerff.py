@@ -66,7 +66,7 @@ def euler_pair_conv(u: Tensor, v: Tensor, w: Tensor, b: Tensor,
     With A = softplus(u) and theta = `_phase(v)`, the maps re = A*cos(theta)
     and im = A*sin(theta) are convolved channel by channel: output channel k
     is b[k] plus, tap by tap in conv2d's order, re_k*w[i, j, 0, k] and then
-    im_k*w[i, j, 1, k] over the pixels the tap sees (`nn._tap_spans`).
+    im_k*w[i, j, 1, k] over the pixels the tap sees (`nn.tap_plan`).
 
     The op keeps only its inputs u, v and the pair weights, and its tap plan.
     Its backward rebuilds A, cos, sin, re and im from u and v with the
@@ -77,38 +77,33 @@ def euler_pair_conv(u: Tensor, v: Tensor, w: Tensor, b: Tensor,
     dv = dtheta*pi*(1 - tanh(v)^2) where the clamp is not engaged, zero
     where it is.
     """
-    if u.shape != v.shape:
-        raise ShapeError(f"euler pairs: amplitude {u.shape} and phase {v.shape} differ")
+    if u.shape != v.shape or u.data.ndim != 4:
+        raise ShapeError(f"euler pairs: amplitude {u.shape} and phase {v.shape} are not "
+                         f"one NHWC shape")
     n, h, wd, c = u.shape
-    kh, kw = w.shape[:2]
     if w.shape[2:] != (2, c) or b.shape != (c,):
         raise ShapeError(f"euler pair conv: weights {w.shape} and bias {b.shape} do not "
                          f"fit (kh, kw, 2, {c}) and ({c},)")
-    pt, pb, pl, pr = pad
-    oh = nn.conv_out_extent(h, pt, pb, kh, 1)
-    ow = nn.conv_out_extent(wd, pl, pr, kw, 1)
-    rows, cols = nn._tap_spans(oh, h, pt, kh, 1), nn._tap_spans(ow, wd, pl, kw, 1)
-    taps = [(i, j, rs, cs) for i, rs in enumerate(rows) if rs for j, cs in enumerate(cols) if cs]
+    kh, kw = w.shape[:2]
+    oh, ow, taps = nn.tap_plan(h, wd, kh, kw, pad)
 
     ua, va, wa = u.data, v.data, w.data
     re, im = _expansion(ua, va)[3:]
     y = np.full((n, oh, ow, c), b.data, dtype=ua.dtype)
-    for i, j, (ro, ri), (co, ci) in taps:
-        y[:, ro, co] += re[:, ri, ci] * wa[i, j, 0]
-        y[:, ro, co] += im[:, ri, ci] * wa[i, j, 1]
+    for i, j, out, src in taps:
+        y[out] += re[src] * wa[i, j, 0]
+        y[out] += im[src] * wa[i, j, 1]
 
     def bw(g):
         gc = np.ascontiguousarray(g)
         t, cos, sin, re, im = _expansion(ua, va)
         d_re, d_im = np.zeros_like(re), np.zeros_like(im)
-        dw = np.empty(wa.shape, dtype=wa.dtype)
-        # taps that see no pixel (a kernel row or column beyond the image) get zeros
-        dw[[i for i, rs in enumerate(rows) if rs is None]] = 0
-        dw[:, [j for j, cs in enumerate(cols) if cs is None]] = 0
-        for i, j, (ro, ri), (co, ci) in taps:
+        # taps that see no pixel get zeros
+        dw = (np.empty if len(taps) == kh * kw else np.zeros)(wa.shape, dtype=wa.dtype)
+        for i, j, out, src in taps:
             for m, (part, d_part) in enumerate(((re, d_re), (im, d_im))):
-                d_part[:, ri, ci] += gc[:, ro, co] * wa[i, j, m]
-                dw[i, j, m] = np.einsum("nhwk,nhwk->k", part[:, ri, ci], gc[:, ro, co])
+                d_part[src] += gc[out] * wa[i, j, m]
+                dw[i, j, m] = np.einsum("nhwk,nhwk->k", part[src], gc[out])
         du = d_re * cos
         du += d_im * sin
         du *= T._sigmoid(ua)

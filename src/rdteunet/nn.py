@@ -13,7 +13,7 @@ gradients, is one BLAS matrix-vector product (`tensor.gemv_sum`).
 Feature maps are NHWC; conv weights are (kh, kw, cin, cout); convolution is
 cross-correlation (no kernel flip), summed over kernel taps with implicit
 padding, so it costs only the products that touch real pixels. A tap is one
-GEMM. Average pooling sums its window over the same taps (`_tap_spans`).
+GEMM. Average pooling sums its window over the same taps (`tap_plan`).
 """
 
 from __future__ import annotations
@@ -71,15 +71,26 @@ def _tap_spans(out: int, size: int, pad: int, k: int, stride: int) -> list:
     return spans
 
 
-def _live_taps(size: int, pad0: int, pad1: int, k: int, stride: int) -> slice:
-    """The kernel offsets on one axis from the first to the last whose span
-    (`_tap_spans`) meets a pixel of an input of `size`."""
-    out = conv_out_extent(size, pad0, pad1, k, stride)
-    live = [t for t, span in enumerate(_tap_spans(out, size, pad0, k, stride)) if span]
-    if not live:
-        raise ConfigError(f"no tap of a {k}-tap kernel with pads ({pad0}, {pad1}) "
-                          f"sees a pixel of an input of extent {size}")
-    return slice(live[0], live[-1] + 1)
+def tap_plan(h: int, w: int, kh: int, kw: int, pad: tuple[int, int, int, int],
+             stride: int = 1) -> tuple[int, int, list]:
+    """The (oh, ow) output extent of a kh x kw conv over an h x w input with
+    pads (top, bottom, left, right), and its taps in row-major kernel order.
+
+    A tap is (i, j, out, src): the NHWC index tuples of the outputs kernel
+    offset (i, j) reaches and of the input pixels it reads there. Taps that
+    see only padding are left out.
+    """
+    pt, pb, pl, pr = pad
+    oh = conv_out_extent(h, pt, pb, kh, stride)
+    ow = conv_out_extent(w, pl, pr, kw, stride)
+    if oh < 1 or ow < 1:
+        raise ShapeError(
+            f"conv output extent {oh}x{ow} < 1 for input {h}x{w}, kernel {kh}x{kw}, "
+            f"pad {pad}, stride {stride}")
+    rows = [(i, r) for i, r in enumerate(_tap_spans(oh, h, pt, kh, stride)) if r]
+    cols = [(j, c) for j, c in enumerate(_tap_spans(ow, w, pl, kw, stride)) if c]
+    return oh, ow, [(i, j, (slice(None), ro, co), (slice(None), ri, ci))
+                    for i, (ro, ri) in rows for j, (co, ci) in cols]
 
 
 def _tap_madd(out: np.ndarray, a: np.ndarray, wt: np.ndarray) -> None:
@@ -111,38 +122,29 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
         raise ConfigError(f"conv2d stride must be >= 1, got {stride}")
     n, h, wd, cin = x.shape
     kh, kw, wcin, cout = w.shape
-    pt, pb, pl, pr = pad
     if wcin != cin:
         raise ShapeError(f"weight expects {wcin} input channels but input has {cin}")
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} != ({cout},)")
-    oh = conv_out_extent(h, pt, pb, kh, stride)
-    ow = conv_out_extent(wd, pl, pr, kw, stride)
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            f"conv output extent {oh}x{ow} < 1 for input {h}x{wd}, kernel {kh}x{kw}, "
-            f"pad {pad}, stride {stride}")
 
-    rows, cols = _tap_spans(oh, h, pt, kh, stride), _tap_spans(ow, wd, pl, kw, stride)
-    taps = [(i, j, r, c) for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
+    oh, ow, taps = tap_plan(h, wd, kh, kw, pad, stride)
     xa, wa, w_node = x.data, w.data, w.node
     y = np.full((n, oh, ow, cout), 0 if b is None else b.data, dtype=xa.dtype)
-    for i, j, (ro, ri), (co, ci) in taps:
-        _tap_madd(y[:, ro, co], xa[:, ri, ci], wa[i, j])
+    for i, j, out, src in taps:
+        _tap_madd(y[out], xa[src], wa[i, j])
     has_bias = b is not None
 
     def bw(g):
         def weight_grad(dw):
-            # taps that see no pixel (a kernel row or column beyond the image) get zeros
-            dw[[i for i, r in enumerate(rows) if r is None]] = 0
-            dw[:, [j for j, c in enumerate(cols) if c is None]] = 0
-            for i, j, (ro, ri), (co, ci) in taps:
-                _tap_weight_grad(dw[i, j], xa[:, ri, ci], g[:, ro, co])
+            if len(taps) < kh * kw:  # taps that see no pixel get zeros
+                dw.fill(0)
+            for i, j, out, src in taps:
+                _tap_weight_grad(dw[i, j], xa[src], g[out])
 
         dw = T.param_grad(w_node, wa, weight_grad)  # on the worker when it is w's grad slot
         dx = np.zeros(xa.shape, dtype=xa.dtype)
-        for i, j, (ro, ri), (co, ci) in taps:
-            _tap_madd(dx[:, ri, ci], g[:, ro, co], wa[i, j].T)
+        for i, j, out, src in taps:
+            _tap_madd(dx[src], g[out], wa[i, j].T)
         if not has_bias:
             return dx, dw
         return dx, dw, T.gemv_sum(g, (0, 1, 2))
@@ -170,22 +172,21 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} != ({cout},)")
 
-    rows, cols = _tap_spans(h, 2 * h, 0, 2, 2), _tap_spans(wd, 2 * wd, 0, 2, 2)
-    taps = [(i, j, r, c) for i, r in enumerate(rows) for j, c in enumerate(cols)]
+    _, _, taps = tap_plan(2 * h, 2 * wd, 2, 2, (0, 0, 0, 0), 2)
     xa, wa, w_node = x.data, w.data, w.node
     y = np.full((n, 2 * h, 2 * wd, cout), b.data, dtype=xa.dtype)
-    for i, j, (ro, ri), (co, ci) in taps:
-        _tap_madd(y[:, ri, ci], xa[:, ro, co], wa[i, j].T)
+    for i, j, out, src in taps:
+        _tap_madd(y[src], xa[out], wa[i, j].T)
 
     def bw(g):
         def weight_grad(dw):  # every one of the four taps is live
-            for i, j, (ro, ri), (co, ci) in taps:
-                _tap_weight_grad(dw[i, j], g[:, ri, ci], xa[:, ro, co])
+            for i, j, out, src in taps:
+                _tap_weight_grad(dw[i, j], g[src], xa[out])
 
         dw = T.param_grad(w_node, wa, weight_grad)  # on the worker when it is w's grad slot
         dx = np.zeros_like(xa)
-        for i, j, (ro, ri), (co, ci) in taps:
-            _tap_madd(dx[:, ro, co], g[:, ri, ci], wa[i, j])
+        for i, j, out, src in taps:
+            _tap_madd(dx[out], g[src], wa[i, j])
         return dx, dw, T.gemv_sum(g, (0, 1, 2))
 
     return _rec(Tensor(y), (x, w, b), bw)
@@ -193,12 +194,6 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # pooling
-
-def _window_counts(size: int, p: int) -> np.ndarray:
-    """Per position on one axis, how many pixels of its 2p+1 window are in the image."""
-    i = np.arange(size)
-    return np.minimum(i + p, size - 1) - np.maximum(i - p, 0) + 1
-
 
 def avg_pool(x: Tensor, k: int) -> Tensor:
     """Stride-1 same-size average pooling: the sum of each k x k window's real
@@ -210,21 +205,20 @@ def avg_pool(x: Tensor, k: int) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"avg_pool expects NHWC input, got {x.shape}")
     shape, dt = x.shape, x.data.dtype
-    h, wd = shape[1:3]
     p = k // 2
-    taps = [(r, c) for r in _tap_spans(h, h, p, k, 1) if r
-            for c in _tap_spans(wd, wd, p, k, 1) if c]
-    counts = np.outer(_window_counts(h, p), _window_counts(wd, p))
-    inv = (1.0 / counts)[:, :, None].astype(dt)
+    _, _, taps = tap_plan(*shape[1:3], k, k, (p, p, p, p))
+    counts = np.zeros((1,) + shape[1:3] + (1,))  # per output, the taps that reach it
     sums = np.zeros(shape, dtype=dt)
-    for (ro, ri), (co, ci) in taps:
-        sums[:, ro, co] += x.data[:, ri, ci]
+    for _, _, out, src in taps:
+        counts[out] += 1
+        sums[out] += x.data[src]
+    inv = (1.0 / counts).astype(dt)
 
     def bw(g):
         gi = g * inv
         dx = np.zeros(shape, dtype=dt)
-        for (ro, ri), (co, ci) in taps:
-            dx[:, ri, ci] += gi[:, ro, co]
+        for _, _, out, src in taps:
+            dx[src] += gi[out]
         return (dx,)
 
     return _rec(Tensor(sums * inv), (x,), bw)
@@ -337,10 +331,14 @@ class Conv2d:
         self.extent = None if extent is None else tuple(extent)
         window = None
         if extent is not None:
-            pt, pb, pl, pr = self.pad
-            rows = _live_taps(extent[0], pt, pb, kh, stride)
-            cols = _live_taps(extent[1], pl, pr, kw, stride)
+            _, _, taps = tap_plan(*extent, kh, kw, self.pad, stride)
+            if not taps:
+                raise ConfigError(f"{prefix}: no tap of a {kh}x{kw} kernel with pads "
+                                  f"{self.pad} sees a pixel of an input of extent {extent}")
+            i, j = [t[0] for t in taps], [t[1] for t in taps]
+            rows, cols = slice(min(i), max(i) + 1), slice(min(j), max(j) + 1)
             window = (rows, cols, slice(None), slice(None))
+            pt, pb, pl, pr = self.pad
             self.pad = (pt - rows.start, pb - (kh - rows.stop),
                         pl - cols.start, pr - (kw - cols.stop))
         fan_in = kh * kw * cin

@@ -173,6 +173,12 @@ def test_arconv_config_contracts():
     for shape in ((1, 1, 2, 2), (3, 2, 2, 2), (3, 3, 1, 2)):
         with pytest.raises(ShapeError):
             ab.arconv_sample(x, sizes, T.zeros(shape), b)
+    w = T.zeros((3, 3, 2, 2))
+    with pytest.raises(ShapeError, match="NHWC"):
+        ab.arconv_sample(rx((4, 4, 2), 1), sizes, w, b)
+    for bias in ((3,), (1, 2)):
+        with pytest.raises(ShapeError, match="bias"):
+            ab.arconv_sample(x, sizes, w, T.zeros(bias))
 
 
 def test_arconv_degenerate_rectangle_collapses_to_center():

@@ -305,6 +305,12 @@ def test_euler_pairs_refuses_mismatched_logits():
         ef.euler_pair_conv(rx((1, 4, 4, 2), 44), rx((1, 4, 4, 3), 45), w, b, (0, 0, 1, 1))
     with pytest.raises(ShapeError, match="euler pair conv"):
         ef.euler_pair_conv(rx((1, 4, 4, 3), 44), rx((1, 4, 4, 3), 45), w, b, (0, 0, 1, 1))
+    with pytest.raises(ShapeError, match="euler pairs"):  # logits that are not NHWC
+        ef.euler_pair_conv(rx((4, 4, 2), 44), rx((4, 4, 2), 45), w, b, (0, 0, 1, 1))
+    # a 1x3 pair kernel over a 2-wide map without padding has no output column
+    with pytest.raises(ShapeError, match="output extent"):
+        ef.euler_pair_conv(rx((1, 2, 2, 1), 44), rx((1, 2, 2, 1), 45), rx((1, 3, 2, 1), 46),
+                           T.zeros((1,)), (0, 0, 0, 0))
 
 
 def test_amplitude_and_phase_are_the_expansion_formula():

@@ -672,6 +672,33 @@ def test_conv_with_extent_keeps_only_the_live_taps(extent, kernel, pad, stride):
     assert np.array_equal(trim(x).data, full(x).data)
 
 
+# id -> (input extent, kernel (kh, kw), pad, stride), from both tables
+_PLAN_CASES = {**{f"trim_{k}": case for k, case in _TRIM_CASES.items()},
+               **{f"oracle_{k}": (xs[1:3], ws[:2], pad, stride)
+                  for k, (op, xs, ws, stride, pad) in _ORACLE_CASES.items() if op == "conv2d"}}
+
+
+@pytest.mark.parametrize("extent, kernel, pad, stride", list(_PLAN_CASES.values()),
+                         ids=list(_PLAN_CASES))
+def test_tap_plan_is_the_padded_maps_windows(extent, kernel, pad, stride):
+    (h, w), (kh, kw), (pt, pb, pl, pr) = extent, kernel, pad
+    oh, ow, taps = nn.tap_plan(h, w, kh, kw, pad, stride)
+    x = np.arange(2 * h * w * 3, dtype=np.float64).reshape(2, h, w, 3) + 1
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=np.nan)
+    assert (oh, ow) == ((xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1)
+    live = np.zeros((kh, kw), dtype=bool)
+    for i, j, out, src in taps:
+        assert not live[i, j]  # no tap twice
+        live[i, j] = True
+        window = xp[:, i:i + (oh - 1) * stride + 1:stride, j:j + (ow - 1) * stride + 1:stride]
+        assert np.array_equal(x[src], window[out])
+        # `out` is every output at which the tap sees a real pixel (padding is NaN)
+        reached = np.zeros((oh, ow), dtype=bool)
+        reached[out[1:]] = True
+        assert np.array_equal(reached, ~np.isnan(window[0, :, :, 0]))
+    assert np.array_equal(live, _live_taps_naive(extent, kernel, pad, stride))
+
+
 def test_conv_with_extent_refuses_another_extent():
     conv = nn.Conv2d(ParamStore(0), "c", 2, 3, 6, pad=sc.stair_pads("vertical", 2, "up", 3),
                      bias=False, extent=(4, 4))

@@ -51,3 +51,24 @@ def test_no_layer_takes_a_random_generator():
                 args = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
                 bad = [x.arg for x in args if x is not None and _takes_a_generator(x)]
                 assert not bad, f"{path.name}:{node.lineno} takes a generator as {bad}"
+
+
+def _referenced_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):  # an import
+        return node.name
+    return None
+
+
+def test_only_the_tap_plan_works_out_conv_geometry():
+    # which taps see a pixel is worked out once: every windowed op reads nn.tap_plan
+    geometry = {"_tap_spans", "conv_out_extent"}
+    users = set()
+    for path in sorted((ROOT / "src" / "rdteunet").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            users |= {scope for node in ast.walk(top) if _referenced_name(node) in geometry}
+    assert users == {"nn.tap_plan"}
