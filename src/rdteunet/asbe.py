@@ -186,18 +186,14 @@ def arconv_sample(x: Tensor, sizes: Tensor, w: Tensor, b: Tensor) -> Tensor:
 class ArConv:
     """Rectangle-size predicting conv: a two-layer shape net maps features to
     per-position (height, width) in [1, R_MAX]; sampling follows on a
-    GRID x GRID grid."""
+    GRID x GRID grid. The sampler's kernel is a GRID x GRID `nn.Conv2d` under
+    `prefix`, which `arconv_sample` applies (its own `__call__` never runs)."""
 
     def __init__(self, store: ParamStore, prefix: str, c: int):
         self.shape_conv1 = nn.Conv2d(store, f"{prefix}.shape1", c, c, 3, pad="same",
                                      init_gain=2.0)
         self.shape_conv2 = nn.Conv2d(store, f"{prefix}.shape2", c, 2, 3, pad="same")
-        self.w_name = f"{prefix}.w"
-        self.b_name = f"{prefix}.b"
-        store.add(self.w_name,
-                  nn.kaiming_uniform((GRID, GRID, c, c), GRID * GRID * c, gain=1.0))
-        store.add(self.b_name, T.Fill((c,), 0.0))
-        self.store = store
+        self.kernel = nn.Conv2d(store, prefix, c, c, GRID)
 
     def _sizes(self, x: Tensor) -> Tensor:
         return size_map(self.shape_conv2(T.relu(self.shape_conv1(x))))
@@ -209,8 +205,7 @@ class ArConv:
             return self._sizes(x)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return arconv_sample(x, self._sizes(x), self.store.value(self.w_name),
-                             self.store.value(self.b_name))
+        return arconv_sample(x, self._sizes(x), *self.kernel.weights())
 
 
 class AsbeStem:

@@ -122,22 +122,18 @@ KERNELS = {HORIZONTAL: (1, 3), VERTICAL: (3, 1)}
 
 
 class EulerStream:
-    """One fusion stream: directional Euler expansions + channel path + 1x1 fuse."""
+    """One fusion stream: directional Euler expansions + channel path + 1x1 fuse.
+    Each axis' pair kernel, one (real, imaginary) weight pair per tap and
+    channel, is a same-pad `nn.Conv2d` from 2 to c channels, `group_{axis}`,
+    which `euler_pair_conv` applies (its own `__call__` never runs)."""
 
     def __init__(self, store: ParamStore, prefix: str, c: int):
         self.c = c
-        self.store = store
         mk = lambda name, kh, kw, cin, cout: nn.Conv2d(
             store, f"{prefix}.{name}", cin, cout, kh, kw, pad="same")
         self.amp = {axis: mk(f"amp_{axis}", *k, c, c) for axis, k in KERNELS.items()}
         self.phase = {axis: mk(f"phase_{axis}", *k, c, c) for axis, k in KERNELS.items()}
-        # the pair convs: per tap and channel one (real, imaginary) weight pair
-        self.group = {}
-        for axis, (kh, kw) in KERNELS.items():
-            name = f"{prefix}.group_{axis}"
-            store.add(f"{name}.w", nn.kaiming_uniform((kh, kw, 2, c), kh * kw * 2, gain=1.0))
-            store.add(f"{name}.b", T.Fill((c,), 0.0))
-            self.group[axis] = (f"{name}.w", f"{name}.b", nn._same_pad(kh) + nn._same_pad(kw))
+        self.pair = {axis: mk(f"group_{axis}", *k, 2, c) for axis, k in KERNELS.items()}
         self.chan = mk("chan", 1, 1, c, c)
         self.fuse = mk("fuse", 1, 1, 4 * c, c)
 
@@ -158,9 +154,8 @@ class EulerStream:
 
     def directional(self, x: Tensor, axis: str) -> Tensor:
         """The Euler expansion along one axis, convolved by its pair conv."""
-        w_name, b_name, pad = self.group[axis]
-        return euler_pair_conv(self.amp[axis](x), self.phase[axis](x),
-                               self.store.value(w_name), self.store.value(b_name), pad)
+        pair = self.pair[axis]
+        return euler_pair_conv(self.amp[axis](x), self.phase[axis](x), *pair.weights(), pair.pad)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.c:

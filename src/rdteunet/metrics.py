@@ -59,6 +59,8 @@ def hd95_flagged(pred, gt) -> tuple[float, bool]:
     g = _as_bool(gt)
     if p.shape != g.shape:
         raise ShapeError(f"mask shapes differ: {p.shape} vs {g.shape}")
+    if p.ndim != 2:
+        raise ShapeError(f"mask must be 2-D, got shape {p.shape}")
     p_any, g_any = bool(p.any()), bool(g.any())
     if not p_any and not g_any:
         return 0.0, False

@@ -203,12 +203,13 @@ def _label_ids(labels, logits_shape: tuple[int, ...]) -> np.ndarray:
     arr = labels.data if isinstance(labels, Tensor) else np.asarray(labels)
     if arr.shape != logits_shape[:-1]:
         raise ShapeError(f"labels shape {arr.shape} vs logits {logits_shape}")
-    ids = np.rint(arr).astype(np.int64)
-    if not np.array_equal(ids, np.asarray(arr, dtype=np.float64)):
+    # checked as floats before the cast, so NaN and +-inf never reach it
+    vals = np.asarray(arr, dtype=np.float64)
+    if not np.array_equal(np.rint(vals), vals):
         raise ConfigError("labels must be integral class ids")
-    if ids.min() < 0 or ids.max() >= k:
-        raise ConfigError(f"labels out of range: [{ids.min()}, {ids.max()}] vs {k} classes")
-    return ids.reshape(-1)
+    if vals.min() < 0 or vals.max() >= k:
+        raise ConfigError(f"labels out of range: [{vals.min():g}, {vals.max():g}] vs {k} classes")
+    return vals.astype(np.int64).reshape(-1)
 
 
 def segmentation_loss(logits: Tensor, labels) -> Tensor:

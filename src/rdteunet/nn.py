@@ -14,6 +14,9 @@ Feature maps are NHWC; conv weights are (kh, kw, cin, cout); convolution is
 cross-correlation (no kernel flip), summed over kernel taps with implicit
 padding, so it costs only the products that touch real pixels. A tap is one
 GEMM. Average pooling sums its window over the same taps (`tap_plan`).
+
+The layers here declare every parameter of the model, also the kernels that
+another op applies (the Euler pair conv, the ASBE sampler: `Conv2d.weights`).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .tensor import (
 )
 
 
-def kaiming_uniform(shape, fan_in: int, gain: float, window=None) -> T.Uniform:
+def _kaiming_uniform(shape, fan_in: int, gain: float, window=None) -> T.Uniform:
     """Fan-in uniform init with selectable variance gain, declared for the
     store to draw over `shape`, keeping `window` of it (all when None).
 
@@ -344,18 +347,21 @@ class Conv2d:
         fan_in = kh * kw * cin
         self.w_name = f"{prefix}.w"
         self.b_name = f"{prefix}.b" if bias else None
-        store.add(self.w_name, kaiming_uniform((kh, kw, cin, cout), fan_in, init_gain, window))
+        store.add(self.w_name, _kaiming_uniform((kh, kw, cin, cout), fan_in, init_gain, window))
         if bias:
             store.add(self.b_name, T.Fill((cout,), 0.0))
         self.store = store
+
+    def weights(self) -> tuple[Tensor, Tensor | None]:
+        """The (w, b) Tensors the next forward reads; b is None without a bias."""
+        b = self.store.value(self.b_name) if self.b_name else None
+        return self.store.value(self.w_name), b
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.extent is not None and x.shape[1:3] != self.extent:
             raise ShapeError(f"{self.w_name} keeps the taps live at input extent "
                              f"{self.extent}, got input {x.shape}")
-        b = self.store.value(self.b_name) if self.b_name else None
-        return conv2d(x, self.store.value(self.w_name), b,
-                      stride=self.stride, pad=self.pad)
+        return conv2d(x, *self.weights(), stride=self.stride, pad=self.pad)
 
 
 class ConvTranspose2x2:
@@ -364,7 +370,7 @@ class ConvTranspose2x2:
     def __init__(self, store: ParamStore, prefix: str, cin: int, cout: int):
         self.w_name = f"{prefix}.w"
         self.b_name = f"{prefix}.b"
-        store.add(self.w_name, kaiming_uniform((2, 2, cout, cin), cin, gain=1.0))
+        store.add(self.w_name, _kaiming_uniform((2, 2, cout, cin), cin, gain=1.0))
         store.add(self.b_name, T.Fill((cout,), 0.0))
         self.store = store
 

@@ -540,9 +540,6 @@ class ParamStore:
         self._allocate()
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def value(self, name: str) -> Tensor:
         return self[name].value
 

@@ -112,10 +112,10 @@ def test_stream_vanishes_with_pinned_amp_bias():
 def test_grouped_conv_sees_own_pair_only():
     # zeroing channel 1's (re, im) pair (amplitude logit -1e4: A = 0), or
     # moving its phase, changes only output channel 1 of the pair conv
-    stream, store = make_stream(c=3, seed=20)
+    stream, _ = make_stream(c=3, seed=20)
     x = rx((1, 4, 4, 3), 21)
-    w_name, b_name, pad = stream.group["h"]
-    w, b = store.value(w_name), store.value(b_name)
+    pair = stream.pair["h"]
+    (w, b), pad = pair.weights(), pair.pad
     u, v = logits(stream, x, "h")
     base = ef.euler_pair_conv(u, v, w, b, pad).data
     for i, value in ((0, -1e4), (1, 0.5)):

@@ -84,6 +84,17 @@ def test_hd95_both_empty_zero():
     assert val == 0.0 and not flagged
 
 
+@pytest.mark.parametrize("shape", [(5,), (2, 2, 2)])
+@pytest.mark.parametrize("filled", [(False, False), (False, True), (True, True)],
+                         ids=["both_empty", "one_empty", "both_filled"])
+def test_hd95_refuses_masks_not_2d(shape, filled):
+    p, g = (np.zeros(shape, dtype=bool) for _ in filled)
+    for mask, on in zip((p, g), filled):
+        mask.flat[0] = on
+    with pytest.raises(ShapeError, match="2-D"):
+        mx.hd95_flagged(p, g)
+
+
 def test_hd95_symmetry_and_max_bound():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -368,9 +368,12 @@ def test_strongly_correct_logits_near_zero_loss():
 
 @pytest.mark.parametrize("logits_shape, label, error", [
     ((1, 2, 2, 3), 3, ConfigError),
+    ((1, 2, 2, 3), np.nan, ConfigError),
+    ((1, 2, 2, 3), np.inf, ConfigError),
+    ((1, 2, 2, 3), -np.inf, ConfigError),
     ((1, 2, 2, 1), 0, ShapeError),
     ((0, 2, 2, 3), 0, ShapeError),
-], ids=["label_range", "one_class", "empty_batch"])
+], ids=["label_range", "nan", "inf", "minus_inf", "one_class", "empty_batch"])
 def test_label_range_error(logits_shape, label, error):
     logits = Tensor(np.zeros(logits_shape, dtype=np.float32))
     with pytest.raises(error):
@@ -605,6 +608,25 @@ def test_initial_arena_keeps_the_draw_order(variant):
     values, _ = M.RdteUnet(small_config(variant)).store.arena()
     assert values.dtype == np.float32
     assert hashlib.sha256(values.tobytes()).hexdigest() == INIT_ARENA_SHA256[variant]
+
+
+# SHA-256 of the checkpoint layout of small_config(variant): one name:shape
+# line per parameter, then one per buffer, in store order. A renamed,
+# reshaped or reordered entry would fail to load every saved checkpoint.
+LAYOUT_SHA256 = {
+    "full": "8f101a1825274dbb38f7b3aeb78239b87b5aea07a5ab0ed56e0c034420239cf4",
+    "no_asbe": "b0ed56a9a2d19240a9d20b759439e7fc679d7f757b61ecea514575a3413c825f",
+    "no_hvda": "eec677b1fb21f0098f50fa33bfe4aec83c63a1bf39a6981bdb479453401d2aef",
+    "no_eulerff": "156815ba62125712b27614bbf6efac82dd509fe9c7fd9cc819e992b4617990c5",
+}
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_checkpoint_layout_keeps_names_shapes_and_order(variant):
+    store = M.RdteUnet(small_config(variant)).store
+    names = list(store.names()) + list(store.buffer_names())
+    layout = "\n".join(f"{n}:{'x'.join(map(str, store.shape(n)))}" for n in names)
+    assert hashlib.sha256(layout.encode()).hexdigest() == LAYOUT_SHA256[variant]
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -72,3 +72,23 @@ def test_only_the_tap_plan_works_out_conv_geometry():
             scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
             users |= {scope for node in ast.walk(top) if _referenced_name(node) in geometry}
     assert users == {"nn.tap_plan"}
+
+
+def _declares_on_a_store(node: ast.AST) -> bool:
+    # store.add(...), self.store.add(...) and their add_buffer twins
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"add", "add_buffer"}
+            and _referenced_name(node.func.value) == "store")
+
+
+def test_only_nn_declares_parameters():
+    # a kernel's name, shape and initial value are declared by nn's layers
+    init_rules = {"kaiming_uniform", "_kaiming_uniform", "_same_pad"}
+    offenders = []
+    for path in sorted((ROOT / "src" / "rdteunet").glob("*.py")):
+        if path.name == "nn.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _declares_on_a_store(node) or _referenced_name(node) in init_rules:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"parameters declared outside nn at {offenders}"
