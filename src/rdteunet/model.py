@@ -1,4 +1,4 @@
-"""Full network assembly, loss, optimizer, and checkpoint container.
+"""Full network assembly, loss, optimizer, train step, and checkpoint container.
 
 Encoder: boundary-enhancing stem, then five stages (three residual, two
 detail-transformer), each ending in a 2x2 stride-2 conv that halves the
@@ -6,6 +6,9 @@ spatial extent and doubles the channels. Decoder mirrors the encoder with
 2x2 stride-2 transposed convs; every skip connection passes through Euler
 fusion. Ablation variants swap the stem (plain conv), the attention flavor
 (plain GSA projections), or the skip fusion (concat + 1x1).
+
+`train_step` is the one train step: a training-mode forward, the loss, the
+backward into the grad arena, the global clip and the optimizer step.
 """
 
 from __future__ import annotations
@@ -290,7 +293,8 @@ def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     (`tensor.sweep_arena`), so the result is the one loop's, bit for bit.
     Raises ConfigError unless max_norm > 0 (a NaN included), and
     FloatingPointError, naming the first parameter whose gradient holds a
-    NaN or inf; both before any gradient is scaled.
+    NaN or inf; both before any gradient is scaled. max_norm=inf computes
+    the norm and scales nothing.
     """
     if not max_norm > 0:
         raise ConfigError(f"max_norm must be > 0, got {max_norm}")
@@ -366,12 +370,12 @@ class Adam:
     scratch block of its own, so which thread updates a block changes no
     value. The step reads `self.store`'s arena each time: after a checkpoint
     round trip, pointing `store` at the loaded model's store carries the
-    moments over. Raises ConfigError unless lr > 0 (a NaN included).
+    moments over. Raises ConfigError unless lr is finite and > 0.
     """
 
     def __init__(self, store: ParamStore, lr: float = 1e-3):
-        if not lr > 0:
-            raise ConfigError(f"lr must be > 0, got {lr}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {lr}")
         _retain_freed_heap()
         self.store = store
         self.lr = lr
@@ -410,6 +414,27 @@ class Adam:
             values[lo:hi] -= d
 
         T.sweep_arena(values.size, ARENA_BLOCK, update)
+
+
+def train_step(model: RdteUnet, opt: Adam, images: Tensor, labels,
+               max_norm: float) -> tuple[float, float]:
+    """One train step: a training-mode forward of `images` on a fresh tape,
+    `segmentation_loss` against `labels`, `tensor.backward` into the grad
+    arena, `clip_grad_norm(model.store, max_norm)`, then `opt.step()`; only
+    then is `model.step` advanced by one.
+
+    `opt` is anything whose `step()` updates `model.store` from its grads.
+    Returns `(loss, grad_norm)` as floats, the norm taken before the clip.
+    The errors are those of the five calls; a clip that raises leaves the
+    values, the optimizer and `model.step` as they were.
+    """
+    with T.Tape() as tape:
+        loss = segmentation_loss(model(images, training=True), labels)
+    T.backward(tape, loss, model.store)
+    grad_norm = clip_grad_norm(model.store, max_norm)
+    opt.step()
+    model.step += 1
+    return loss.item(), grad_norm
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import inspect
+import math
 import types
 
 import numpy as np
@@ -403,7 +404,7 @@ def test_adam_descends_quadratic():
     assert np.allclose(store.value("w").data, target, atol=1e-2)
 
 
-@pytest.mark.parametrize("lr", [-1.0, 0.0, np.nan])
+@pytest.mark.parametrize("lr", [-1.0, 0.0, np.nan, np.inf])
 def test_adam_rejects_non_positive_lr(lr):
     store = T.ParamStore(0)
     store.add("w", Tensor(np.zeros(3, dtype=np.float32)))
@@ -530,10 +531,7 @@ def _three_steps(make_opt, between, path):
     y = np.random.default_rng(6).integers(0, 3, size=(2, 32, 32))
     opt = make_opt(model.store, lr=1e-2)
     for step in range(3):
-        with Tape() as tape:
-            loss = M.segmentation_loss(model(x, training=True), y)
-            T.backward(tape, loss, model.store)
-        opt.step()
+        M.train_step(model, opt, x, y, math.inf)
         if step == 0:
             model = between(model, opt, path)
     return {n: p.value.data.copy() for n, p in model.store.items()}
@@ -549,6 +547,61 @@ def test_blocked_adam_equals_per_tensor_adam(dtype, between, tmp_path):
     for name in want:
         assert got[name].dtype == dtype
         assert np.array_equal(got[name], want[name]), name
+
+
+def _explicit_step(model, opt, x, y, max_norm):
+    """The train step written out: forward, loss, backward, clip, Adam."""
+    with Tape() as tape:
+        loss = M.segmentation_loss(model(x, training=True), y)
+    T.backward(tape, loss, model.store)
+    norm = M.clip_grad_norm(model.store, max_norm)
+    opt.step()
+    return loss.item(), norm
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_train_step_is_bit_equal_to_the_explicit_step(variant, dtype):
+    y = np.random.default_rng(8).integers(0, 3, size=(2, 32, 32))
+    runs = []
+    for step in (_explicit_step, M.train_step):
+        with T.using_dtype(dtype):
+            model = M.RdteUnet(small_config(variant, b=2, seed=7))
+            opt = M.Adam(model.store, lr=1e-2)
+            loss, norm = step(model, opt, rx((2, 32, 32, 1), 9), y, 0.05)
+        values, grads = model.store.arena()
+        runs.append((loss, norm, grads.tobytes(), values.tobytes()))
+    assert runs[0][1] > 0.05  # the clip scaled the gradients
+    for what, want, got in zip(("loss", "norm", "grad arena", "value arena"), *runs):
+        assert want == got, what
+
+
+def test_train_step_counts_steps_across_a_checkpoint_round_trip(tmp_path):
+    model = M.RdteUnet(small_config(b=2, seed=4))
+    x = rx((2, 32, 32, 1), 5)
+    y = np.random.default_rng(6).integers(0, 3, size=(2, 32, 32))
+    opt = M.Adam(model.store, lr=1e-2)
+    for k in (1, 2):
+        M.train_step(model, opt, x, y, 1.0)
+        assert model.step == k
+    model = _round_trip(model, opt, tmp_path / "model.rdtc")
+    assert model.step == 2
+    M.train_step(model, opt, x, y, 1.0)
+    assert model.step == opt.t == 3
+
+
+def test_train_step_with_a_non_finite_gradient_raises_from_the_clip():
+    model = M.RdteUnet(small_config(b=2, seed=4))
+    head_b = model.store.value("head.b").data.copy()
+    head_b[1] = np.nan  # class 1's logits are NaN, and so are the loss and its gradients
+    model.store.set_value("head.b", Tensor(head_b))
+    opt = M.Adam(model.store, lr=1e-2)
+    before = model.store.arena()[0].tobytes()
+    y = np.random.default_rng(6).integers(0, 3, size=(2, 32, 32))
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
+        M.train_step(model, opt, rx((2, 32, 32, 1), 5), y, 1.0)
+    assert model.store.arena()[0].tobytes() == before
+    assert model.step == opt.t == 0
 
 
 def test_adam_refuses_a_store_of_another_size():

@@ -92,3 +92,25 @@ def test_only_nn_declares_parameters():
             if _declares_on_a_store(node) or _referenced_name(node) in init_rules:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"parameters declared outside nn at {offenders}"
+
+
+def _runs_a_step_phase(node: ast.AST) -> bool:
+    # clip_grad_norm(...), M.clip_grad_norm(...), T.backward(...) and
+    # tensor.backward(...); a bare backward(g) is a tape entry's closure
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if _referenced_name(func) == "clip_grad_norm":
+        return True
+    return (isinstance(func, ast.Attribute) and func.attr == "backward"
+            and _referenced_name(func.value) in {"T", "tensor"})
+
+
+def test_only_the_train_step_runs_the_backward_and_the_clip():
+    # the order of a train step's phases is written down once, in model.train_step
+    callers = set()
+    for path in sorted((ROOT / "src" / "rdteunet").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            callers |= {scope for node in ast.walk(top) if _runs_a_step_phase(node)}
+    assert callers == {"model.train_step"}
