@@ -279,18 +279,23 @@ def segmentation_loss(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # optimizer
 
-# elements per block of the optimizer's sweeps over the arena: small enough
-# that a block's operands stay in cache between its elementwise passes
+# elements per block of the squared norm: one np.dot each, added up in block
+# order, so the norm is the same for every sweep unit
 ARENA_BLOCK = 1 << 15
+# elements per unit that a lane of an arena sweep pulls: a whole number of
+# ARENA_BLOCKs, long enough that each NumPy call of a unit outlasts the other
+# lane's wake-up (`tensor.sweep_arena`)
+SWEEP_BLOCK = 1 << 17
 
 
 def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
     The squared norm is a sum of per-block dot products in the grad dtype,
-    added up in block order in a Python float. The caller and the worker
-    thread share the blocks of the norm pass and of the scale pass
-    (`tensor.sweep_arena`), so the result is the one loop's, bit for bit.
+    one per ARENA_BLOCK elements, added up in block order in a Python float.
+    The caller and the worker thread share the SWEEP_BLOCK units of the norm
+    pass and of the scale pass (`tensor.sweep_arena`); each unit holds whole
+    blocks, so the result is the one loop's, bit for bit.
     Raises ConfigError unless max_norm > 0 (a NaN included), and
     FloatingPointError, naming the first parameter whose gradient holds a
     NaN or inf; both before any gradient is scaled. max_norm=inf computes
@@ -302,10 +307,12 @@ def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     squares = np.empty(-(-grads.size // ARENA_BLOCK))
 
     def square(lo, hi, lane):
-        squares[lo // ARENA_BLOCK] = np.dot(grads[lo:hi], grads[lo:hi])
+        for b in range(lo, hi, ARENA_BLOCK):
+            g = grads[b:min(b + ARENA_BLOCK, hi)]
+            squares[b // ARENA_BLOCK] = np.dot(g, g)
 
     with np.errstate(over="ignore"):  # an overflowed block sum is handled below
-        T.sweep_arena(grads.size, ARENA_BLOCK, square)
+        T.sweep_arena(grads.size, SWEEP_BLOCK, square)
     norm = math.sqrt(sum(squares.tolist()))
     if not math.isfinite(norm):
         for name, p in store.items():
@@ -323,27 +330,34 @@ def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
         def scale(lo, hi, lane):
             grads[lo:hi] *= factor
 
-        T.sweep_arena(grads.size, ARENA_BLOCK, scale)
+        T.sweep_arena(grads.size, SWEEP_BLOCK, scale)
     return norm
 
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
+_M_MMAP_MAX = -4
 _M_ARENA_MAX = -8
 
 
 def _retain_freed_heap() -> None:
-    """Keep the heap that one train step's tape frees for the next step.
+    """Serve every allocation of a training process from one heap, and keep
+    what it frees for the next allocation.
 
     By default glibc returns freed heap memory to the system, and the next
     forward then faults every page of its activations back in (tens of
     thousands of minor faults per `no_hvda` step). A 1 GiB trim threshold
-    keeps those pages; a fixed 32 MiB mmap threshold keeps glibc from moving
-    its threshold, so allocations up to that size come from the kept heap.
-    One malloc arena makes the worker thread's temporaries come from that
-    same kept heap rather than from a second arena of their own.
-    Does nothing where the C library has no `mallopt`.
+    keeps those pages. By default glibc also serves each large array (the
+    parameter arenas of `full`, 235 MiB each) with its own `mmap` and unmaps
+    it when it is freed, so a checkpoint round trip faults the loaded
+    model's value and grad arenas in page by page. A zero `M_MMAP_MAX`
+    serves every allocation from the heap instead (the mmap threshold then
+    plays no part), so the arenas a released model frees are the resident
+    pages the next model's arenas reuse. Freed memory stays resident up to
+    the trim threshold: a free region at the top of the heap beyond 1 GiB
+    goes back to the system. One malloc arena makes the worker thread's
+    temporaries come from that same kept heap rather than from a second
+    arena of their own. Does nothing where the C library has no `mallopt`.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -352,7 +366,7 @@ def _retain_freed_heap() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_MMAP_MAX, 0)
     mallopt(_M_ARENA_MAX, 1)
 
 
@@ -363,14 +377,16 @@ class Adam:
     """Adam (Kingma & Ba, arXiv 1412.6980) over the store's parameter arena,
     at the paper's default betas and eps.
 
-    A step sweeps the flat value, grad and moment arrays in blocks of
-    ARENA_BLOCK elements, with the elementwise operations of a per-tensor
-    update in the same order, so it gives bit-equal values. The caller and
-    the worker thread share the blocks (`tensor.sweep_arena`), each with a
-    scratch block of its own, so which thread updates a block changes no
-    value. The step reads `self.store`'s arena each time: after a checkpoint
-    round trip, pointing `store` at the loaded model's store carries the
-    moments over. Raises ConfigError unless lr is finite and > 0.
+    A step sweeps the flat value, grad and moment arrays in units of
+    SWEEP_BLOCK elements, with the elementwise operations of a per-tensor
+    update in the same order, so it gives bit-equal values; being
+    elementwise, it does not depend on ARENA_BLOCK, the norm's block. The
+    caller and the worker thread share the units (`tensor.sweep_arena`),
+    each with a scratch unit of its own, so which thread updates a unit
+    changes no value. The step reads `self.store`'s arena each time: after a
+    checkpoint round trip, pointing `store` at the loaded model's store
+    carries the moments over. Raises ConfigError unless lr is finite and
+    > 0, and at a step whose store differs from the moments in size or dtype.
     """
 
     def __init__(self, store: ParamStore, lr: float = 1e-3):
@@ -383,14 +399,17 @@ class Adam:
         values, _ = store.arena()
         self._m = np.zeros_like(values)
         self._v = np.zeros_like(values)
-        # one scratch block per lane of the sweep: the caller's and the worker's
-        self._tmp = np.empty((2, min(ARENA_BLOCK, values.size)), values.dtype)
+        # one scratch unit per lane of the sweep: the caller's and the worker's
+        self._tmp = np.empty((2, min(SWEEP_BLOCK, values.size)), values.dtype)
 
     def step(self) -> None:
         values, grads = self.store.arena()
         if values.size != self._m.size:
             raise ConfigError(f"store holds {values.size} parameter scalars, "
                               f"the optimizer's moments {self._m.size}")
+        if values.dtype != self._m.dtype:
+            raise ConfigError(f"store holds {values.dtype} parameters, "
+                              f"the optimizer's moments {self._m.dtype}")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc2 = 1.0 - b2 ** self.t
@@ -413,7 +432,7 @@ class Adam:
             d *= scale
             values[lo:hi] -= d
 
-        T.sweep_arena(values.size, ARENA_BLOCK, update)
+        T.sweep_arena(values.size, SWEEP_BLOCK, update)
 
 
 def train_step(model: RdteUnet, opt: Adam, images: Tensor, labels,

@@ -42,7 +42,9 @@ input is a parameter with a grad slot (`Tape.grad`'s `out`) writes that
 gradient on its first contribution straight into the slot (`param_grad`);
 the conv weight gradients do this as a worker job, while the closure goes
 on to the input gradient. And `sweep_arena` splits a pass over an arena
-into blocks that the caller and the worker pull one at a time. Closures
+into blocks that the caller and the worker pull one at a time; a block is
+long enough (`model.SWEEP_BLOCK`) that its NumPy calls outlast a thread
+wake-up, or the two lanes would take turns instead of overlapping. Closures
 themselves run on the calling thread, and the tape and its sweep state are
 the calling thread's. A job touches only NumPy arrays: it reads neither
 `default_dtype()` nor the tape stack (both thread-local), runs under the
@@ -213,8 +215,16 @@ def sweep_arena(n: int, block: int, body: Callable[[int, int, int], None]) -> No
     one at a time from one counter, so which lane runs a block varies, and a
     stalled lane holds up at most one block. A body that writes only its own
     block, and buffers of its own lane, gives the same values as one loop.
-    Returns when every block is done; raises the first error of either lane.
+    Returns when every block is done; raises the first error of either lane,
+    and ConfigError, before any block runs, for a `block` below 1.
+
+    The lanes overlap only where a block is long: each block costs a lock
+    and, for the lane that waits, a thread wake-up, and blocks whose NumPy
+    calls last a few microseconds each run the two lanes one after the
+    other. The optimizer's sweeps pull `model.SWEEP_BLOCK` elements a block.
     """
+    if block < 1:
+        raise ConfigError(f"sweep block must be >= 1 element, got {block}")
     counter = itertools.count()
     lock = threading.Lock()
 
@@ -579,11 +589,13 @@ class ParamStore:
     def adopt(self, values: np.ndarray) -> None:
         """Make the flat array `values`, laid out in the order of `names()`,
         the value arena without copying it; no initial value is computed.
-        Every gradient restarts at zero."""
+        Every gradient restarts at zero, in a fresh arena that `np.zeros`
+        allocates: where the allocator hands out zeroed pages, a process
+        that never writes a gradient never touches them."""
         if values.shape != (self.n_scalars(),) or values.dtype != self.dtype:
             raise ShapeError(f"arena of {values.shape} {values.dtype} for "
                              f"{self.n_scalars()} {np.dtype(self.dtype)} scalars")
-        self._install(values, np.zeros_like(values))
+        self._install(values, np.zeros(values.size, self.dtype))
 
     def _allocate(self) -> None:
         """Allocate both arenas once and write every initial value into its

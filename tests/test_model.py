@@ -1,4 +1,5 @@
 import ast
+import ctypes
 import hashlib
 import inspect
 import math
@@ -441,8 +442,9 @@ def test_clip_grad_norm_rejects_non_finite_grad(bad):
 
 
 def _ragged_store(rng, scale=None):
-    """Three params over four arena blocks, the last one ragged."""
-    b = M.ARENA_BLOCK
+    """Three params over four sweep units, the last one ragged, and so also
+    the last norm block."""
+    b = M.SWEEP_BLOCK
     store = T.ParamStore(0)
     shapes = {"a": (b + 5,), "b": (2, b - 7), "c": (3, 41)}
     for name, shape in shapes.items():
@@ -450,8 +452,31 @@ def _ragged_store(rng, scale=None):
     for name, shape in shapes.items():
         store[name].grad[...] = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
                                  if scale is None else scale)
-    assert store.n_scalars() % b and store.n_scalars() > 3 * b
+    assert store.n_scalars() % M.ARENA_BLOCK and store.n_scalars() > 3 * b
     return store
+
+
+def test_a_sweep_unit_is_whole_norm_blocks():
+    assert M.SWEEP_BLOCK % M.ARENA_BLOCK == 0 and M.SWEEP_BLOCK > M.ARENA_BLOCK
+
+
+def test_clip_and_adam_over_sweep_units_are_bit_equal_to_inline(monkeypatch):
+    runs = []
+    for workers in (1, 0):
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        store = _ragged_store(np.random.default_rng(5))
+        opt = M.Adam(store, lr=1e-2)
+        grads = store.arena()[1]
+        # the squared norm adds one dot product per norm block, in block order
+        blocks = (grads[lo:lo + M.ARENA_BLOCK] for lo in range(0, grads.size, M.ARENA_BLOCK))
+        want = math.sqrt(sum(float(np.dot(g, g)) for g in blocks))
+        norm = M.clip_grad_norm(store, 1.0)
+        assert norm == want and norm > 1.0
+        scaled = grads.tobytes()
+        opt.step()
+        runs.append((norm, scaled, store.arena()[0].tobytes()))
+    for what, got, want in zip(("norm", "scaled grads", "Adam values"), *runs):
+        assert got == want, what
 
 
 def _norm64(store):
@@ -615,6 +640,43 @@ def test_adam_refuses_a_store_of_another_size():
         opt.step()
 
 
+def test_adam_refuses_a_store_of_another_dtype():
+    store = T.ParamStore(0)
+    store.add("w", T.zeros((3,)))
+    opt = M.Adam(store)
+    with T.using_dtype(np.float64):
+        other = T.ParamStore(0)
+        other.add("w", T.zeros((3,)))
+    other["w"].grad[...] = 1.0
+    opt.store = other
+    with pytest.raises(ConfigError, match="float64"):
+        opt.step()
+    assert opt.t == 0
+    assert not other.arena()[0].any()
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def test_adam_serves_arenas_above_the_mmap_threshold_from_the_heap():
+    # glibc would give each of these arenas its own mmap, unmapped when freed,
+    # so a released model's arenas could not be reused by the next one's
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None:
+        pytest.skip("the C library has no mallinfo2")
+    mallinfo2.argtypes, mallinfo2.restype = (), _Mallinfo2
+    n = 9 << 20  # scalars: 36 MiB float32 arenas, above glibc's 32 MiB largest mmap threshold
+    store = T.ParamStore(0)
+    store.add("w", T.Fill((n,), 0.0))
+    opt = M.Adam(store)  # its first read of the store allocates both arenas
+    store["w"].grad[...] = 1.0
+    opt.step()
+    assert mallinfo2().hblkhd < n * np.dtype(np.float32).itemsize  # one arena's bytes
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -644,6 +706,18 @@ def test_checkpoint_load_computes_no_initial_value(tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     again = M.load_checkpoint(tmp_path / "m.rdtc")
     assert np.array_equal(again(x).data, before)
+
+
+def test_a_loaded_store_starts_with_zero_grads(tmp_path):
+    model = M.RdteUnet(small_config(seed=20))
+    M.train_step(model, M.Adam(model.store), rx((1, 32, 32, 1), 21),
+                 np.zeros((1, 32, 32), np.int64), math.inf)
+    assert model.store.arena()[1].any()
+    M.save_checkpoint(model, tmp_path / "m.rdtc")
+    store = M.load_checkpoint(tmp_path / "m.rdtc").store
+    grads = store.arena()[1]
+    assert grads.size == store.n_scalars() and not grads.any()
+    assert all(not p.grad.any() for _, p in store.items())
 
 
 # SHA-256 of the float32 initial value arena of small_config(variant), as the

@@ -114,3 +114,16 @@ def test_only_the_train_step_runs_the_backward_and_the_clip():
             scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
             callers |= {scope for node in ast.walk(top) if _runs_a_step_phase(node)}
     assert callers == {"model.train_step"}
+
+
+def test_every_arena_sweep_pulls_sweep_block_units():
+    # units shorter than SWEEP_BLOCK run the two lanes one after the other
+    calls = []
+    for path in sorted((ROOT / "src" / "rdteunet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and _referenced_name(node.func) == "sweep_arena":
+                block = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "block"), None)
+                calls.append((f"{path.name}:{node.lineno}", _referenced_name(block)))
+    assert len(calls) >= 3
+    assert all(name == "SWEEP_BLOCK" for _, name in calls), calls

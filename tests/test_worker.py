@@ -211,3 +211,13 @@ def test_sweep_arena_runs_every_block_once_under_fast_thread_switches(worker):
             assert lanes <= {0, 1}
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("block", [0, -1])
+@pytest.mark.parametrize("workers", [1, 0])
+def test_sweep_arena_refuses_a_block_below_one(workers, block, worker):
+    worker(workers)
+    calls = []
+    with pytest.raises(T.ConfigError, match="block"):
+        T.sweep_arena(10, block, lambda lo, hi, lane: calls.append((lo, hi, lane)))
+    assert calls == []
